@@ -127,11 +127,9 @@ class Segment:
             registry[name] = self
         # The trace hub never changes over the segment's lifetime.
         self._trace = sim.trace
-        # Delivery/service events are never cancelled: use the engine's
-        # fire-and-forget scheduler when it offers one (the sharded fabric's
-        # cores do); otherwise a cached bound schedule_at.
-        fire = getattr(sim, "schedule_fire", None)
-        self._schedule = fire if fire is not None else sim.schedule_at
+        # Delivery/service events are never cancelled: cache the engine's
+        # fire-and-forget scheduler.
+        self._schedule = sim.schedule_fire
         self._interfaces: list["NetworkInterface"] = []
         # Attach-order snapshot iterated on delivery; rebuilding it on
         # attach/detach (rare) keeps the per-frame path copy-free.
@@ -139,10 +137,6 @@ class Segment:
         self._busy_until = 0.0
         self._pending: Deque[Tuple["NetworkInterface", EthernetFrame]] = deque()
         self._in_service = False
-        # Event labels are fixed per segment; building them per frame shows
-        # up on the hot path.
-        self._deliver_label = f"{name}:deliver"
-        self._next_label = f"{name}:next"
         # Inter-shard delivery plan: None while every attached station lives
         # on this segment's own engine (the common, unsharded case); else a
         # list of (engine, [interfaces]) runs in attach order.
@@ -640,9 +634,8 @@ class Segment:
         self._schedule(
             finish + self.propagation_delay,
             partial(self._deliver, sender, frame),
-            label=self._deliver_label,
         )
-        self._schedule(finish, self._service_next, label=self._next_label)
+        self._schedule(finish, self._service_next)
 
     def _serve_frame_model(self) -> None:
         """Serve one frame on a shard-local segment with a fault model attached.
@@ -672,14 +665,13 @@ class Segment:
                     self._emit_drop(self._trace, sender, frame, "corrupt")
                 else:
                     self._count_drop(sender, frame, "loss")
-                self._schedule(finish, self._service_next, label=self._next_label)
+                self._schedule(finish, self._service_next)
                 return
         self._schedule(
             finish + self.propagation_delay,
             partial(self._deliver, sender, frame),
-            label=self._deliver_label,
         )
-        self._schedule(finish, self._service_next, label=self._next_label)
+        self._schedule(finish, self._service_next)
 
     def _serve_frame_cut(self) -> None:
         """Serve one frame on a cut segment (inter-shard delivery runs)."""
@@ -724,7 +716,6 @@ class Segment:
             self._schedule(
                 deliver_at,
                 partial(self._deliver, sender, frame),
-                label=self._deliver_label,
             )
         else:
             # Cut segment: one delivery event per contiguous same-shard run of
@@ -775,7 +766,6 @@ class Segment:
                     engine.schedule_fire(
                         deliver_at,
                         partial(self._deliver_run, sender, frame, run, first),
-                        label=self._deliver_label,
                     )
                     first = False
         self._schedule_cut_completion(sim, finish)
@@ -801,7 +791,7 @@ class Segment:
                 round(finish * NANOSECONDS_PER_SECOND), self._service_next
             )
             return
-        self._schedule(finish, self._service_next, label=self._next_label)
+        self._schedule(finish, self._service_next)
 
     def _deliver_cut(self, sender: "NetworkInterface", frame: EthernetFrame) -> None:
         """Deliver on an express-eligible cut segment at the current time.
@@ -832,9 +822,7 @@ class Segment:
                 if caller is not None:
                     caller.outbox.append(("push", when_ns, engine, deliver_run))
                 else:
-                    engine.schedule_fire(
-                        shard.clock._now_s, deliver_run, label=self._deliver_label
-                    )
+                    engine.schedule_fire(shard.clock._now_s, deliver_run)
 
     def _emit_deliver(self, sender: "NetworkInterface", frame: EthernetFrame) -> None:
         """Emit the segment.deliver record (relaxed cut-segment delivery)."""
@@ -921,7 +909,7 @@ class Segment:
 
         Fires on the home ring at the arming instant, *after* every
         same-instant transmit already in the bucket has enqueued its frame
-        — ShardQueue buckets are FIFO in push order — so the whole
+        — event-queue buckets are FIFO in push order — so the whole
         multi-source backlog is serviced in one :meth:`_express_drain`
         pass.  Conditions are re-checked from scratch: if the segment fell
         off the express lane (fault hook, port flip) or the link died

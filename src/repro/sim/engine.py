@@ -1,12 +1,13 @@
 """The discrete-event simulator.
 
 :class:`Simulator` ties the :class:`~repro.sim.clock.Clock` and the
-:class:`~repro.sim.events.EventQueue` together and provides the scheduling
-API that the rest of the library uses:
+bucketed :class:`~repro.sim.events.EventQueue` together and provides the
+scheduling API that the rest of the library uses:
 
 * :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` — one-shot events,
+* :meth:`Simulator.schedule_fire` — fire-and-forget events (no handle),
 * :meth:`Simulator.run` / :meth:`Simulator.run_until` / :meth:`Simulator.step`
-  — drive the simulation,
+  — drive the simulation through one bucket-drain loop,
 * :attr:`Simulator.trace` — a :class:`~repro.sim.trace.TraceRecorder` every
   component can append measurement records to.
 
@@ -16,17 +17,19 @@ that up.
 
 For topologies too large for one engine, the same scheduling surface is
 provided per shard by :class:`repro.sim.shard.EngineShard` under the
-:class:`repro.sim.fabric.ShardedSimulator` coordinator — sharded runs are
-bit-identical to this single engine (see :mod:`repro.sim.fabric`).
+:class:`repro.sim.fabric.ShardedSimulator` coordinator, on the same queue
+class — sharded runs are bit-identical to this single engine (see
+:mod:`repro.sim.fabric`).
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Iterable, Optional
 
 from repro.exceptions import SimulationError
 from repro.sim.clock import Clock, NANOSECONDS_PER_SECOND, seconds_to_ns
-from repro.sim.events import Event, EventQueue
+from repro.sim.events import Event, EventQueue, validate_schedule_time
 from repro.sim.random_source import RandomSource
 from repro.sim.trace import TraceRecorder, TraceSink
 
@@ -61,7 +64,7 @@ class Simulator:
         self.clock = Clock()
         self.random = RandomSource(seed)
         self.trace = TraceRecorder(self.clock, sinks=trace_sinks)
-        self._queue = EventQueue()
+        self._queue = EventQueue(itertools.count())
         self._running = False
         self._dispatched = 0
         self._auto_station_ids: dict = {}
@@ -94,7 +97,11 @@ class Simulator:
 
     @property
     def events_dispatched(self) -> int:
-        """Total number of events that have fired since construction/reset."""
+        """Total number of events that have fired since construction/reset.
+
+        Settled when each :meth:`run` / :meth:`run_until` / :meth:`step`
+        call returns.
+        """
         return self._dispatched
 
     @property
@@ -141,9 +148,23 @@ class Simulator:
     ) -> Event:
         """Schedule ``callback`` at absolute time ``when_ns`` (nanoseconds)."""
         if when_ns < self.clock._now_ns:
-            # Delegate to the queue for the canonical error message.
-            self._queue.validate_schedule_time(self.clock.now_ns, when_ns)
+            validate_schedule_time(self.clock._now_ns, when_ns)
         return self._queue.push(when_ns, callback, label)
+
+    def schedule_fire(
+        self, when_seconds: float, callback: Callable[[], None], label: str = ""
+    ) -> None:
+        """Schedule a fire-and-forget callback at ``when_seconds``.
+
+        Same ordering as :meth:`schedule_at`, but no cancellation handle is
+        allocated (``label`` is accepted for API symmetry and dropped).  The
+        frame hot path — segment delivery and service completions, which are
+        never cancelled — runs through here on every engine.
+        """
+        when_ns = seconds_to_ns(when_seconds)
+        if when_ns < self.clock._now_ns:
+            validate_schedule_time(self.clock._now_ns, when_ns)
+        self._queue.push_fire(when_ns, callback)
 
     def call_soon(self, callback: Callable[[], None], label: str = "") -> Event:
         """Schedule ``callback`` at the current simulated time (after pending work)."""
@@ -160,19 +181,7 @@ class Simulator:
             ``True`` if an event was dispatched, ``False`` if the queue was
             empty.
         """
-        event = self._queue.pop()
-        if event is None:
-            return False
-        # Inlined clock advance: schedule-time validation guarantees event
-        # times are never behind the clock, and the heap pops in time order.
-        clock = self.clock
-        time_ns = event.time_ns
-        if time_ns > clock._now_ns:
-            clock._now_ns = time_ns
-            clock._now_s = time_ns / NANOSECONDS_PER_SECOND
-        self._dispatched += 1
-        event.callback()
-        return True
+        return self._drain(None, 1) == 1
 
     def run(self, max_events: Optional[int] = None) -> int:
         """Run until the event queue drains (or ``max_events`` is reached).
@@ -180,22 +189,7 @@ class Simulator:
         Returns:
             The number of events dispatched by this call.
         """
-        if self._running:
-            raise SimulationError("Simulator.run() called re-entrantly")
-        if self._telemetry is not None:
-            return self._run_instrumented(None, max_events)
-        self._running = True
-        dispatched = 0
-        try:
-            while self._queue:
-                if max_events is not None and dispatched >= max_events:
-                    break
-                if not self.step():
-                    break
-                dispatched += 1
-        finally:
-            self._running = False
-        return dispatched
+        return self._drain(None, max_events)
 
     def run_until(self, until_seconds: float, max_events: Optional[int] = None) -> int:
         """Run events with firing times ``<= until_seconds``.
@@ -207,78 +201,95 @@ class Simulator:
         Returns:
             The number of events dispatched by this call.
         """
-        if self._running:
-            raise SimulationError("Simulator.run_until() called re-entrantly")
         until_ns = seconds_to_ns(until_seconds)
         if until_ns < self.clock.now_ns:
             raise SimulationError(
                 f"run_until({until_seconds}s) is earlier than the current "
                 f"time {self.clock.now}s"
             )
-        if self._telemetry is not None:
-            return self._run_instrumented(until_ns, max_events)
-        self._running = True
-        dispatched = 0
-        try:
-            while True:
-                if max_events is not None and dispatched >= max_events:
-                    break
-                next_time = self._queue.peek_time_ns()
-                if next_time is None or next_time > until_ns:
-                    break
-                self.step()
-                dispatched += 1
-            if self.clock.now_ns < until_ns:
-                self.clock.advance_to_ns(until_ns)
-        finally:
-            self._running = False
-        return dispatched
+        return self._drain(until_ns, max_events)
 
     def run_for(self, duration_seconds: float, max_events: Optional[int] = None) -> int:
         """Run for ``duration_seconds`` of simulated time starting from now."""
         return self.run_until(self.now + duration_seconds, max_events=max_events)
 
-    def _run_instrumented(self, until_ns: Optional[int], max_events: Optional[int]) -> int:
-        """The telemetry-on twin of :meth:`run`/:meth:`run_until`.
+    def _drain(self, until_ns: Optional[int], max_events: Optional[int]) -> int:
+        """The dispatch loop behind :meth:`step`, :meth:`run` and :meth:`run_until`.
 
-        A deliberate duplicate of the dispatch loops: the default-off path
-        keeps its original shape with zero extra work per event, and this
-        loop adds queue high-water tracking, dispatch counting and one wall
-        span per call.  The wall clock is read through
-        :mod:`repro.telemetry.spans` so the overhead test can prove the
-        off path never reaches it.
+        Drains the ring bucket by bucket in ``(time_ns, sequence)`` order.
+        Live counts and bucket retirement are settled once per bucket (also
+        when a callback raises), the dispatch total once per call, and
+        telemetry — queue high-water, dispatch count, one wall span per
+        call — costs one ``is not None`` test per bucket when off.  The wall clock is read
+        through :mod:`repro.telemetry.spans` so the overhead test can prove
+        the off path never reaches it.
         """
-        from repro.telemetry import spans
-
-        telemetry = self._telemetry
-        start = spans.perf_counter()
-        self._running = True
-        dispatched = 0
+        if self._running:
+            raise SimulationError("Simulator dispatch called re-entrantly")
         queue = self._queue
-        high_water = len(queue)
+        times = queue._times
+        buckets = queue._buckets
+        clock = self.clock
+        telemetry = self._telemetry
+        if telemetry is not None:
+            from repro.telemetry import spans
+
+            start = spans.perf_counter()
+            high_water = queue._live
+        self._running = True
+        n = 0
         try:
-            while True:
-                if max_events is not None and dispatched >= max_events:
+            while times:
+                if max_events is not None and n >= max_events:
                     break
-                next_time = queue.peek_time_ns()
-                if next_time is None or (until_ns is not None and next_time > until_ns):
+                t = times[0]
+                if until_ns is not None and t > until_ns:
                     break
-                self.step()
-                dispatched += 1
-                pending = len(queue)
-                if pending > high_water:
-                    high_water = pending
-            if until_ns is not None and self.clock.now_ns < until_ns:
-                self.clock.advance_to_ns(until_ns)
+                bucket = buckets[t]
+                index = 0
+                before = n
+                try:
+                    # Iterating the list itself picks up same-time events a
+                    # callback appends to it while it drains.
+                    for sequence, callback, event in bucket:
+                        index += 1
+                        if event is not None:
+                            if event.cancelled:
+                                queue.cancelled_discarded += 1
+                                queue._dead -= 1
+                                continue
+                            event._queue = None
+                        # Schedule-time validation guarantees t is never
+                        # behind the clock; advance on the first live event.
+                        if t > clock._now_ns:
+                            clock._now_ns = t
+                            clock._now_s = t / NANOSECONDS_PER_SECOND
+                        n += 1
+                        callback()
+                        if max_events is not None and n >= max_events:
+                            break
+                finally:
+                    queue._live -= n - before
+                    if index < len(bucket):
+                        del bucket[:index]
+                    else:
+                        bucket.clear()
+                        queue._drop_bucket(t)
+                if telemetry is not None and queue._live > high_water:
+                    high_water = queue._live
+            if until_ns is not None and clock._now_ns < until_ns:
+                clock.advance_to_ns(until_ns)
         finally:
             self._running = False
-            elapsed = spans.perf_counter() - start
-            registry = telemetry.registry
-            registry.counter("engine_events_dispatched").inc(dispatched)
-            registry.gauge("engine_queue_high_water").set_max(high_water)
-            telemetry.profiler.add("compute", elapsed)
-            telemetry.profiler.add_total(elapsed)
-        return dispatched
+            self._dispatched += n
+            if telemetry is not None:
+                elapsed = spans.perf_counter() - start
+                registry = telemetry.registry
+                registry.counter("engine_events_dispatched").inc(n)
+                registry.gauge("engine_queue_high_water").set_max(high_water)
+                telemetry.profiler.add("compute", elapsed)
+                telemetry.profiler.add_total(elapsed)
+        return n
 
     def enable_telemetry(self):
         """Attach telemetry state to this engine (idempotent).
@@ -300,6 +311,8 @@ class Simulator:
         rebuilt on a reset simulator allocates the same addresses as on a
         fresh one.
         """
+        if self._running:
+            raise SimulationError("Simulator.reset() called during dispatch")
         self._queue.clear()
         self.clock.reset()
         self.trace.clear()

@@ -6,38 +6,40 @@ two events scheduled for the same instant fire in the order they were
 scheduled — this makes the whole simulation deterministic, which the paper's
 reproducible measurements depend on.
 
-Two hot-path properties the simulator run loop relies on:
+There is one queue implementation, used by every engine: the single
+:class:`~repro.sim.engine.Simulator`, each
+:class:`~repro.sim.shard.EngineShard` of the sharded fabric and the fabric's
+relaxed control ring.  It is a *bucketed event ring* rather than one binary
+heap: events at the same nanosecond live in one FIFO bucket (append order
+equals sequence order because the sequence counter is monotone — and shared
+by every queue of a fabric), so pushes are O(1) list appends and the small
+time-heap is touched once per distinct timestamp.  Workloads in this
+simulator cluster heavily on identical timestamps (synchronized segments,
+zero-cost CPU batches), which is what amortizes heap traffic on the hot
+path.
 
-* the heap stores ``(time_ns, sequence, event)`` tuples, so heap sifting
-  compares machine integers instead of calling Python comparison methods;
-* a live-event counter makes :meth:`EventQueue.__len__` and
-  :meth:`EventQueue.__bool__` O(1) — the run loop consults them once per
-  dispatched event, so they must not scan the heap.
-
-Cancelled events stay in the heap (keeping :meth:`Event.cancel` O(1)) and
-are discarded either at the top by :meth:`EventQueue._compact_top` or, when
-they come to dominate the heap, by a lazy full compaction; both are counted
-in :attr:`EventQueue.cancelled_discarded`.
+Cancelled events stay in their bucket (keeping :meth:`Event.cancel` O(1))
+and are discarded when the drain reaches them; a live-event counter keeps
+``len()`` and ``bool()`` O(1).
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
+from heapq import heappop, heappush
 from typing import Callable, Optional
 
 from repro.exceptions import SchedulingError
 
-#: Heaps smaller than this are never fully compacted — the O(n) rebuild only
-#: pays off once scanning/popping dead entries costs more than it does.
-_COMPACT_MIN_HEAP = 64
+#: Upper bound on recycled bucket lists kept per :class:`EventQueue` — a
+#: backstop so a momentary burst of distinct timestamps cannot pin an
+#: unbounded pile of empty lists for the rest of a long run.
+_BUCKET_FREE_CAP = 1024
 
 
 def validate_schedule_time(now_ns: int, when_ns: int) -> None:
     """Raise :class:`SchedulingError` if ``when_ns`` lies in the past.
 
-    Shared by the single-engine :class:`EventQueue` and the per-shard queues
-    of the sharded fabric so both report the identical error.
+    Shared by every engine so they all report the identical error.
     """
     if when_ns < now_ns:
         raise SchedulingError(
@@ -78,7 +80,7 @@ class Event:
     def cancel(self) -> None:
         """Mark the event as cancelled; it will be skipped when popped.
 
-        Cancelling is O(1): the event stays in its queue's heap but the
+        Cancelling is O(1): the event stays in its queue's bucket but the
         queue's live counter is decremented immediately.
         """
         if self.cancelled:
@@ -96,28 +98,50 @@ class Event:
 
 
 class EventQueue:
-    """A priority queue of :class:`Event` objects keyed by time.
+    """A bucketed event ring: FIFO buckets per timestamp plus a time heap.
 
-    Cancelled events are not removed eagerly — :meth:`Event.cancel` stays
-    O(1), which matters because the 802.1D switchlet cancels and re-arms many
-    timers.  They are discarded when they reach the top of the heap, or in
-    one lazy compaction pass when dead entries outnumber live ones.
+    Events in one bucket fire in append order, which equals sequence order
+    because ``counter`` is monotone (the sharded fabric passes one counter to
+    every shard queue, keeping ``(time, sequence)`` a global order).  The
+    heap only orders *distinct* timestamps, so scheduling N same-time events
+    costs N list appends plus one heap push.
 
-    Attributes:
-        cancelled_discarded: total cancelled events physically dropped from
-            the heap so far (top-skips plus compactions).
+    Bucket entries are ``(sequence, callback, event_or_None)`` triples: the
+    cancellable scheduling APIs attach an :class:`Event` handle, while the
+    fire-and-forget path (``schedule_fire``, used by the frame hot path for
+    deliveries that are never cancelled) skips the handle allocation
+    entirely.
+
+    The engines drain the buckets in place (see
+    :meth:`repro.sim.engine.Simulator._drain`); :meth:`top_key` and
+    :meth:`pop` serve callers that take one event at a time.
+    :attr:`cancelled_discarded` counts cancelled events dropped on the way.
+
+    Drained bucket lists are recycled through a bounded free list
+    (:attr:`_free`): a steady-state run churns through one bucket per
+    distinct timestamp, and reusing the list objects removes that
+    allocation from the scheduling hot path.  Recycling touches only
+    *empty* lists, so event ordering and contents are untouched — the
+    bit-identity suites hold verbatim.
     """
 
-    def __init__(self) -> None:
-        # Entries are (time_ns, sequence, event): heap sifting compares the
-        # two integers at C speed and never reaches the event object, since
-        # sequence numbers are unique.  (The sharded fabric's per-shard
-        # queues — :class:`repro.sim.shard.ShardQueue` — share one counter
-        # across shards instead, keeping (time, sequence) a global order.)
-        self._heap: list = []
-        self._counter = itertools.count()
+    __slots__ = (
+        "_counter",
+        "_buckets",
+        "_times",
+        "_free",
+        "_live",
+        "_dead",
+        "cancelled_discarded",
+    )
+
+    def __init__(self, counter) -> None:
+        self._counter = counter
+        self._buckets: dict = {}
+        self._times: list = []
+        self._free: list = []
         self._live = 0
-        self._dead_in_heap = 0
+        self._dead = 0
         self.cancelled_discarded = 0
 
     def __len__(self) -> int:
@@ -127,74 +151,95 @@ class EventQueue:
         return self._live > 0
 
     def push(self, time_ns: int, callback: Callable[[], None], label: str = "") -> Event:
-        """Schedule ``callback`` at absolute time ``time_ns`` and return the event."""
+        """Schedule ``callback`` at ``time_ns`` and return a cancellable event."""
         sequence = next(self._counter)
         event = Event(time_ns, sequence, callback, label, False, self)
-        heapq.heappush(self._heap, (time_ns, sequence, event))
+        bucket = self._buckets.get(time_ns)
+        if bucket is None:
+            free = self._free
+            self._buckets[time_ns] = bucket = free.pop() if free else []
+            heappush(self._times, time_ns)
+        bucket.append((sequence, callback, event))
         self._live += 1
         return event
 
+    def push_fire(self, time_ns: int, callback: Callable[[], None]) -> int:
+        """Schedule ``callback`` with no cancellation handle; returns its sequence."""
+        sequence = next(self._counter)
+        bucket = self._buckets.get(time_ns)
+        if bucket is None:
+            free = self._free
+            self._buckets[time_ns] = bucket = free.pop() if free else []
+            heappush(self._times, time_ns)
+        bucket.append((sequence, callback, None))
+        self._live += 1
+        return sequence
+
     def _note_cancelled(self) -> None:
-        """Called by :meth:`Event.cancel` while the event is still in the heap."""
         self._live -= 1
-        self._dead_in_heap += 1
-        # Lazy compaction: once cancelled entries outnumber live ones on a
-        # non-trivial heap, one O(n) rebuild keeps later pushes and pops from
-        # wading through the corpses.
-        if len(self._heap) >= _COMPACT_MIN_HEAP and self._dead_in_heap > self._live:
-            self._compact()
+        self._dead += 1
 
-    def _compact(self) -> None:
-        """Rebuild the heap from live events only (deterministic: entries are
-        totally ordered by (time, sequence), so heapify reproduces the same
-        pop sequence)."""
-        survivors = [entry for entry in self._heap if not entry[2].cancelled]
-        self.cancelled_discarded += len(self._heap) - len(survivors)
-        heapq.heapify(survivors)
-        self._heap = survivors
-        self._dead_in_heap = 0
+    def _drop_bucket(self, time_ns: int) -> None:
+        """Retire the drained head bucket at ``time_ns`` onto the free list."""
+        heappop(self._times)
+        bucket = self._buckets.pop(time_ns)
+        free = self._free
+        if len(free) < _BUCKET_FREE_CAP:
+            free.append(bucket)
 
-    def _compact_top(self) -> None:
-        """Discard cancelled events sitting at the top of the heap."""
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
-            self.cancelled_discarded += 1
-            self._dead_in_heap -= 1
+    def top_key(self) -> Optional[tuple]:
+        """``(time_ns, sequence)`` of the earliest live event, or ``None``.
 
-    def pop(self) -> Optional[Event]:
-        """Pop the earliest non-cancelled event, or ``None`` if the queue is empty."""
-        heap = self._heap
-        if heap and heap[0][2].cancelled:
-            self._compact_top()
-        if not heap:
+        Skips (and physically discards) cancelled events at bucket heads and
+        drops drained buckets on the way.
+        """
+        times = self._times
+        buckets = self._buckets
+        while times:
+            t = times[0]
+            bucket = buckets[t]
+            # Skip cancelled heads by index, then drop them in one slice —
+            # a bucket of k dead same-time timers costs O(k), not O(k^2).
+            index = 0
+            size = len(bucket)
+            while index < size:
+                entry = bucket[index]
+                event = entry[2]
+                if event is None or not event.cancelled:
+                    break
+                index += 1
+            if index:
+                del bucket[:index]
+                self.cancelled_discarded += index
+                self._dead -= index
+            if bucket:
+                entry = bucket[0]
+                return (t, entry[0])
+            self._drop_bucket(t)
+        return None
+
+    def pop(self) -> Optional[tuple]:
+        """Pop the earliest live ``(sequence, callback, event)`` entry."""
+        key = self.top_key()
+        if key is None:
             return None
-        event = heapq.heappop(heap)[2]
+        bucket = self._buckets[key[0]]
+        entry = bucket.pop(0)
         self._live -= 1
-        # A later cancel() on an already-fired event must not touch the queue.
-        event._queue = None
-        return event
-
-    def peek_time_ns(self) -> Optional[int]:
-        """Return the firing time of the earliest pending event, if any."""
-        heap = self._heap
-        if heap and heap[0][2].cancelled:
-            self._compact_top()
-        if not heap:
-            return None
-        return heap[0][0]
+        if entry[2] is not None:
+            entry[2]._queue = None
+        return entry
 
     def clear(self) -> None:
         """Drop every pending event."""
-        for entry in self._heap:
-            entry[2]._queue = None
-        self._heap.clear()
+        for bucket in self._buckets.values():
+            for entry in bucket:
+                if entry[2] is not None:
+                    entry[2]._queue = None
+        self._buckets.clear()
+        self._times.clear()
         self._live = 0
-        self._dead_in_heap = 0
-
-    def validate_schedule_time(self, now_ns: int, when_ns: int) -> None:
-        """Raise :class:`SchedulingError` if ``when_ns`` lies in the past."""
-        validate_schedule_time(now_ns, when_ns)
+        self._dead = 0
 
 
 def describe_event(event: Event) -> dict:

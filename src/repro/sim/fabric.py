@@ -47,10 +47,10 @@ from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, 
 
 from repro.exceptions import FabricBackendError, SimulationError
 from repro.sim.clock import Clock, seconds_to_ns
-from repro.sim.events import Event, validate_schedule_time
+from repro.sim.events import Event, EventQueue, validate_schedule_time
 from repro.sim.random_source import RandomSource
 from repro.sim.relaxed import BACKENDS, RelaxedExecutor, SYNC_MODES, active_shard
-from repro.sim.shard import EngineShard, ShardQueue, ShardTraceRecorder
+from repro.sim.shard import EngineShard, ShardTraceRecorder
 from repro.sim.trace import (
     CountingSink,
     TraceRecord,
@@ -356,7 +356,7 @@ class ShardedSimulator:
         # barriers with every shard clock synchronized — such callbacks may
         # touch components on any shard, which mid-window shard rings must
         # never do.  Under strict sync the facade schedules on shard 0.
-        self._control = ShardQueue(self._event_counter)
+        self._control = EventQueue(self._event_counter)
         self._control_dispatched = 0
         self._relaxed = RelaxedExecutor(self, workers=workers)
         # Segment registry: name -> Segment, filled by Segment.__init__ so

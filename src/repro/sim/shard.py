@@ -2,8 +2,8 @@
 
 :class:`EngineShard` is one shard of a
 :class:`~repro.sim.fabric.ShardedSimulator`: it owns its own event ring
-(:class:`ShardQueue`), its own progress cursor and its own trace stream
-(:class:`ShardTraceRecorder`), and it duck-types the
+(an :class:`~repro.sim.events.EventQueue`), its own progress cursor and its
+own trace stream (:class:`ShardTraceRecorder`), and it duck-types the
 :class:`~repro.sim.engine.Simulator` scheduling API (``now``, ``schedule``,
 ``schedule_at``, ``schedule_at_ns``, ``call_soon``, ``trace``, ``random``,
 ``clock``) so every existing component — segments, NICs, hosts, active nodes,
@@ -13,8 +13,8 @@ Three shared pieces of state make the fabric *bit-deterministic* relative to
 the single engine when it runs in strict mode:
 
 * one **event-sequence counter** shared by every shard queue, so
-  ``(time_ns, sequence)`` stays a global total order exactly as in the single
-  :class:`~repro.sim.engine.EventQueue`;
+  ``(time_ns, sequence)`` stays a global total order exactly as in the
+  single :class:`~repro.sim.engine.Simulator`'s queue;
 * one **clock**, advanced by the coordinator strictly in that global order,
   so a component called synchronously across a shard boundary (a NIC sending
   onto a segment homed on another shard) reads the same timestamps it would
@@ -34,13 +34,9 @@ shard_id, position-in-stream)``; :meth:`EngineShard._run_window` is the
 relaxed drain loop, which swaps in a **private per-shard clock** so shards
 can sit at different simulated times inside one lookahead window.
 
-The queue is a *bucketed event ring* rather than one binary heap: events at
-the same nanosecond live in one FIFO bucket (append order equals sequence
-order because the counter is shared and monotone), so pushes are O(1) list
-appends and the small time-heap is touched once per distinct timestamp.
-Workloads in this simulator cluster heavily on identical timestamps
-(synchronized segments, zero-cost CPU batches), which is what amortizes heap
-traffic on the fabric's hot path.
+Every shard runs the same bucketed :class:`~repro.sim.events.EventQueue` as
+the single engine; the drain loops here differ only in what they must check
+between events (the strict batch limit, the relaxed window bound).
 """
 
 from __future__ import annotations
@@ -49,7 +45,7 @@ import heapq
 from typing import Callable, Iterator, List, Optional
 
 from repro.sim.clock import Clock, NANOSECONDS_PER_SECOND, seconds_to_ns
-from repro.sim.events import Event, validate_schedule_time
+from repro.sim.events import Event, EventQueue, validate_schedule_time
 from repro.sim.random_source import RandomSource
 from repro.sim.relaxed import _ACTIVE
 from repro.sim.trace import (
@@ -61,161 +57,6 @@ from repro.sim.trace import (
     last_match,
     match_records,
 )
-
-
-#: Upper bound on recycled bucket lists kept per :class:`ShardQueue` — a
-#: backstop so a momentary burst of distinct timestamps cannot pin an
-#: unbounded pile of empty lists for the rest of a long run.
-_BUCKET_FREE_CAP = 1024
-
-
-class ShardQueue:
-    """A bucketed event ring: FIFO buckets per timestamp plus a time heap.
-
-    Events in one bucket fire in append order, which equals sequence order
-    because every shard queue draws from the fabric's shared counter.  The
-    heap only orders *distinct* timestamps, so scheduling N same-time events
-    costs N list appends plus one heap push.
-
-    Bucket entries are ``(sequence, callback, event_or_None)`` triples: the
-    cancellable scheduling APIs attach an :class:`Event` handle, while the
-    fire-and-forget path (``schedule_fire``, used by the frame hot path for
-    deliveries that are never cancelled) skips the handle allocation
-    entirely.
-
-    Cancelled events stay in their bucket (keeping :meth:`Event.cancel` O(1),
-    as in the single-engine queue) and are discarded when they reach the
-    bucket head; :attr:`cancelled_discarded` counts them.
-
-    Drained bucket lists are recycled through a bounded free list
-    (:attr:`_free`): a steady-state run churns through one bucket per
-    distinct timestamp, and reusing the list objects removes that
-    allocation from the scheduling hot path.  Recycling touches only
-    *empty* lists, so event ordering and contents are untouched — the
-    bit-identity suites hold verbatim.
-    """
-
-    __slots__ = (
-        "_counter",
-        "_buckets",
-        "_times",
-        "_free",
-        "_live",
-        "_dead",
-        "cancelled_discarded",
-    )
-
-    def __init__(self, counter) -> None:
-        self._counter = counter
-        self._buckets: dict = {}
-        self._times: list = []
-        self._free: list = []
-        self._live = 0
-        self._dead = 0
-        self.cancelled_discarded = 0
-
-    def __len__(self) -> int:
-        return self._live
-
-    def __bool__(self) -> bool:
-        return self._live > 0
-
-    def push(self, time_ns: int, callback: Callable[[], None], label: str = "") -> Event:
-        """Schedule ``callback`` at ``time_ns`` and return a cancellable event."""
-        event = Event(time_ns, next(self._counter), callback, label, False, self)
-        entry = (event.sequence, callback, event)
-        bucket = self._buckets.get(time_ns)
-        if bucket is None:
-            free = self._free
-            self._buckets[time_ns] = bucket = free.pop() if free else []
-            bucket.append(entry)
-            heapq.heappush(self._times, time_ns)
-        else:
-            bucket.append(entry)
-        self._live += 1
-        return event
-
-    def push_fire(self, time_ns: int, callback: Callable[[], None]) -> int:
-        """Schedule ``callback`` with no cancellation handle; returns its sequence."""
-        sequence = next(self._counter)
-        entry = (sequence, callback, None)
-        bucket = self._buckets.get(time_ns)
-        if bucket is None:
-            free = self._free
-            self._buckets[time_ns] = bucket = free.pop() if free else []
-            bucket.append(entry)
-            heapq.heappush(self._times, time_ns)
-        else:
-            bucket.append(entry)
-        self._live += 1
-        return sequence
-
-    def _note_cancelled(self) -> None:
-        self._live -= 1
-        self._dead += 1
-
-    def top_key(self) -> Optional[tuple]:
-        """``(time_ns, sequence)`` of the earliest live event, or ``None``.
-
-        Skips (and physically discards) cancelled events at bucket heads and
-        drops drained buckets on the way.
-        """
-        times = self._times
-        buckets = self._buckets
-        while times:
-            t = times[0]
-            bucket = buckets[t]
-            # Skip cancelled heads by index, then drop them in one slice —
-            # a bucket of k dead same-time timers costs O(k), not O(k^2).
-            index = 0
-            size = len(bucket)
-            while index < size:
-                entry = bucket[index]
-                event = entry[2]
-                if event is None or not event.cancelled:
-                    break
-                index += 1
-            if index:
-                del bucket[:index]
-                self.cancelled_discarded += index
-                self._dead -= index
-            if bucket:
-                entry = bucket[0]
-                return (t, entry[0])
-            heapq.heappop(times)
-            del buckets[t]
-            free = self._free
-            if len(free) < _BUCKET_FREE_CAP:
-                free.append(bucket)
-        return None
-
-    def peek_time_ns(self) -> Optional[int]:
-        """Firing time of the earliest live event, if any."""
-        key = self.top_key()
-        return None if key is None else key[0]
-
-    def pop(self) -> Optional[tuple]:
-        """Pop the earliest live ``(sequence, callback, event)`` entry."""
-        key = self.top_key()
-        if key is None:
-            return None
-        bucket = self._buckets[key[0]]
-        entry = bucket.pop(0)
-        self._live -= 1
-        if entry[2] is not None:
-            entry[2]._queue = None
-        return entry
-
-    def clear(self) -> None:
-        """Drop every pending event."""
-        for bucket in self._buckets.values():
-            for entry in bucket:
-                if entry[2] is not None:
-                    entry[2]._queue = None
-        self._buckets.clear()
-        self._times.clear()
-        self._live = 0
-        self._dead = 0
 
 
 class ShardTraceRecorder(TraceRecorder):
@@ -409,7 +250,7 @@ class EngineShard:
         self.clock = clock
         self.random = random
         self.trace = trace
-        self._queue = ShardQueue(counter)
+        self._queue = EventQueue(counter)
         self._dispatched = 0
         self.cursor_ns = 0
         self.cross_pushes = 0
@@ -484,7 +325,7 @@ class EngineShard:
 
         Inlined push: this is the fabric's hottest scheduling entry point
         (CPU queues and timers), so it pays neither the ``schedule_at_ns``
-        nor the ``ShardQueue.push`` call.
+        nor the ``EventQueue.push`` call.
         """
         when_ns = self.clock._now_ns + round(delay_seconds * NANOSECONDS_PER_SECOND)
         if when_ns < self.clock._now_ns:
@@ -599,11 +440,7 @@ class EngineShard:
             t = times[0]
             bucket = buckets[t]
             if not bucket:
-                heapq.heappop(times)
-                del buckets[t]
-                free = queue._free
-                if len(free) < _BUCKET_FREE_CAP:
-                    free.append(bucket)
+                queue._drop_bucket(t)
                 continue
             if t > until_ns:
                 break
@@ -717,11 +554,7 @@ class EngineShard:
                 t = times[0]
                 bucket = buckets[t]
                 if not bucket:
-                    heapq.heappop(times)
-                    del buckets[t]
-                    free = queue._free
-                    if len(free) < _BUCKET_FREE_CAP:
-                        free.append(bucket)
+                    queue._drop_bucket(t)
                     continue
                 if t > window_end_ns:
                     if extend is None or self.outbox:

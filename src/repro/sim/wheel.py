@@ -2,13 +2,13 @@
 
 Fifty thousand on/off traffic sources each keep one pending timer alive.
 Pushed naively, every timer lands on its own nanosecond and therefore its
-own heap entry — on the sharded engines that is one `heapq` push *and*
-one bucket allocation per timer (`ShardQueue` hashes events into
-per-timestamp FIFO buckets and heap-orders only the distinct
-timestamps).  The wheel's job is to make those timestamps collide on
-purpose: it quantizes each fire time **up** to the next tick boundary
-and schedules through the engine's ordinary API, so every timer that
-lands in the same tick shares one bucket and one heap entry.
+own heap entry — one `heapq` push *and* one bucket allocation per timer
+(the engines' `EventQueue` hashes events into per-timestamp FIFO buckets
+and heap-orders only the distinct timestamps).  The wheel's job is to make
+those timestamps collide on purpose: it quantizes each fire time **up**
+to the next tick boundary and schedules through the engine's ordinary
+API, so every timer that lands in the same tick shares one bucket and
+one heap entry.
 
 Crucially the wheel adds **no dispatch machinery of its own** — no
 aggregated callbacks, no private ordering.  One timer is still one

@@ -32,7 +32,7 @@ from repro.population import (
 )
 from repro.scenario import run_scenario
 from repro.sim.engine import Simulator
-from repro.sim.shard import ShardQueue
+from repro.sim.events import EventQueue
 from repro.sim.wheel import TimerWheel
 
 SMALL_OFFICE = {"floors": 2, "hosts_per_floor": 6, "duration": 0.3}
@@ -189,7 +189,7 @@ class TestSlotsAndFreeList:
     def test_shard_queue_recycles_drained_buckets(self):
         import itertools
 
-        queue = ShardQueue(itertools.count())
+        queue = EventQueue(itertools.count())
         queue.push_fire(100, lambda: None)
         bucket_object = queue._buckets[100]
         queue.pop()

@@ -28,8 +28,8 @@ from repro.scenario import (
     run_scenario,
 )
 from repro.sim.engine import Simulator
+from repro.sim.events import EventQueue
 from repro.sim.fabric import ShardedSimulator
-from repro.sim.shard import ShardQueue
 from repro.sim.trace import CounterWindow, RingBufferSink
 import itertools
 
@@ -40,8 +40,10 @@ import itertools
 
 
 class TestShardQueue:
+    """A shard's ring is the one :class:`EventQueue` on the fabric's counter."""
+
     def _queue(self):
-        return ShardQueue(itertools.count())
+        return EventQueue(itertools.count())
 
     def test_pops_in_time_then_sequence_order(self):
         queue = self._queue()
@@ -92,7 +94,7 @@ class TestShardQueue:
         queue.push(3, lambda: None)
         queue.pop()
         queue.push(3, lambda: None)
-        assert queue.peek_time_ns() == 3
+        assert queue.top_key()[0] == 3
         assert len(queue) == 1
 
     def test_clear_detaches_events(self):

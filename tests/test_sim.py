@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from repro.exceptions import SchedulingError, SimulationError
 from repro.sim.clock import Clock, ns_to_seconds, seconds_to_ns
 from repro.sim.engine import Simulator
-from repro.sim.events import EventQueue, describe_event
+from repro.sim.events import EventQueue, describe_event, validate_schedule_time
 from repro.sim.process import Process
 from repro.sim.random_source import RandomSource
 from repro.sim.timers import PeriodicTimer, Timer
@@ -55,51 +57,67 @@ class TestClock:
 
 
 class TestEventQueue:
+    """The one event queue: every engine (single, shard, control ring) runs it."""
+
+    def _queue(self):
+        return EventQueue(itertools.count())
+
     def test_pop_in_time_order(self):
-        queue = EventQueue()
+        queue = self._queue()
         fired = []
-        queue.push(300, lambda: fired.append(3))
-        queue.push(100, lambda: fired.append(1))
-        queue.push(200, lambda: fired.append(2))
+        queue.push(300, lambda: fired.append("c"))
+        queue.push(100, lambda: fired.append("a1"))
+        queue.push(200, lambda: fired.append("b"))
+        queue.push(100, lambda: fired.append("a2"))
         while True:
-            event = queue.pop()
-            if event is None:
+            entry = queue.pop()
+            if entry is None:
                 break
-            event.callback()
-        assert fired == [1, 2, 3]
+            entry[1]()
+        assert fired == ["a1", "a2", "b", "c"]
 
     def test_ties_preserve_scheduling_order(self):
-        queue = EventQueue()
+        queue = self._queue()
         order = []
-        for index in range(5):
-            queue.push(100, lambda i=index: order.append(i))
+        sequences = [
+            queue.push(100, lambda i=index: order.append(i)).sequence
+            for index in range(5)
+        ]
+        popped = []
         while queue:
-            queue.pop().callback()
+            entry = queue.pop()
+            popped.append(entry[0])
+            entry[1]()
         assert order == [0, 1, 2, 3, 4]
+        assert popped == sequences
 
     def test_cancelled_events_are_skipped(self):
-        queue = EventQueue()
+        queue = self._queue()
         event = queue.push(10, lambda: None, label="victim")
-        queue.push(20, lambda: None)
+        keep = queue.push(20, lambda: None)
+        late = queue.push(20, lambda: None)
         event.cancel()
+        late.cancel()
         assert len(queue) == 1
-        popped = queue.pop()
-        assert popped.time_ns == 20
+        assert queue.pop()[2] is keep
+        # The cancelled same-time corpse now heads the bucket and is
+        # discarded lazily, like the one ahead of it.
+        assert queue.pop() is None
+        assert queue.cancelled_discarded == 2
 
     def test_peek_skips_cancelled(self):
-        queue = EventQueue()
+        queue = self._queue()
         first = queue.push(10, lambda: None)
         queue.push(20, lambda: None)
         first.cancel()
-        assert queue.peek_time_ns() == 20
+        assert queue.top_key()[0] == 20
 
     def test_validate_schedule_time(self):
-        queue = EventQueue()
         with pytest.raises(SchedulingError):
-            queue.validate_schedule_time(now_ns=100, when_ns=50)
+            validate_schedule_time(now_ns=100, when_ns=50)
 
     def test_describe_event(self):
-        queue = EventQueue()
+        queue = self._queue()
         event = queue.push(10, lambda: None, label="x")
         description = describe_event(event)
         assert description["label"] == "x"
@@ -108,12 +126,12 @@ class TestEventQueue:
     @given(st.lists(st.integers(min_value=0, max_value=10_000), min_size=1, max_size=50))
     @settings(max_examples=50, deadline=None)
     def test_events_always_pop_sorted(self, times):
-        queue = EventQueue()
+        queue = self._queue()
         for when in times:
             queue.push(when, lambda: None)
         popped = []
         while queue:
-            popped.append(queue.pop().time_ns)
+            popped.append(queue.pop()[2].time_ns)
         assert popped == sorted(times)
 
 
@@ -181,6 +199,78 @@ class TestSimulator:
         dispatched = sim.run(max_events=4)
         assert dispatched == 4
         assert sim.pending_events == 6
+
+    def test_max_events_resumes_mid_bucket_in_order(self, sim):
+        order = []
+        for index in range(6):
+            sim.schedule_at_ns(100, lambda i=index: order.append(i))
+        assert sim.run(max_events=2) == 2
+        assert sim.step() is True
+        assert sim.run() == 3
+        assert order == [0, 1, 2, 3, 4, 5]
+        assert sim.step() is False
+
+    def test_schedule_fire_interleaves_with_cancellable_events(self, sim):
+        order = []
+        sim.schedule_at(1.0, lambda: order.append("a"))
+        assert sim.schedule_fire(1.0, lambda: order.append("b"), label="x") is None
+        sim.schedule_at(1.0, lambda: order.append("c"))
+        sim.schedule_fire(0.5, lambda: order.append("early"))
+        assert sim.pending_events == 4
+        sim.run()
+        assert order == ["early", "a", "b", "c"]
+        with pytest.raises(SchedulingError):
+            sim.schedule_fire(0.5, lambda: None)
+
+    def test_raising_callback_leaves_the_queue_consistent(self, sim):
+        fired = []
+
+        def boom():
+            raise RuntimeError("boom")
+
+        sim.schedule_at(1.0, lambda: fired.append("a"))
+        sim.schedule_at(1.0, boom)
+        sim.schedule_at(1.0, lambda: fired.append("b"))
+        sim.schedule_at(2.0, lambda: fired.append("c"))
+        with pytest.raises(RuntimeError):
+            sim.run()
+        assert fired == ["a"]
+        assert sim.pending_events == 2
+        assert sim.events_dispatched == 2
+        assert sim.run() == 2
+        assert fired == ["a", "b", "c"]
+
+    def test_dispatch_is_not_reentrant(self, sim):
+        errors = []
+
+        def nested():
+            for drive in (sim.step, sim.run, lambda: sim.run_until(5.0)):
+                try:
+                    drive()
+                except SimulationError as error:
+                    errors.append(error)
+
+        sim.schedule(1.0, nested)
+        sim.schedule(2.0, lambda: None)
+        assert sim.run() == 2
+        assert len(errors) == 3
+
+    def test_telemetry_samples_high_water_per_bucket(self, sim):
+        telemetry = sim.enable_telemetry()
+
+        def fan_out():
+            for offset in range(1, 4):
+                sim.schedule(offset, lambda: None)
+
+        for _ in range(5):
+            sim.schedule_at(1.0, lambda: None)
+        sim.schedule_at(1.0, fan_out)
+        assert sim.run() == 9
+        snapshot = telemetry.registry.snapshot()
+        assert snapshot["counters"]["engine_events_dispatched"] == 9
+        # Sampled on entry and after each bucket settles: six pending at
+        # the start, three after the t=1s bucket fanned out.
+        assert snapshot["gauges"]["engine_queue_high_water"] == 6
 
     def test_reset(self, sim):
         sim.schedule(1.0, lambda: None)

@@ -2,12 +2,14 @@
 
 Covers the refactored instrumentation hot path: per-category gating, lazy
 detail rendering, the sink implementations (list / ring buffer / counting /
-null), live-counter windows, the event queue's live counter and lazy
-compaction, and the determinism guarantee (same seed, same trace) with sinks
+null), live-counter windows, the event queue's live counter and discard
+accounting, and the determinism guarantee (same seed, same trace) with sinks
 swapped.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import pytest
 
@@ -295,13 +297,16 @@ class TestDeterminismAcrossSinks:
 
 
 # ---------------------------------------------------------------------------
-# Event queue: O(1) accounting, compaction, cancelled_discarded
+# Event queue: O(1) accounting, cancelled_discarded
 # ---------------------------------------------------------------------------
 
 
 class TestEventQueueAccounting:
+    def _queue(self):
+        return EventQueue(itertools.count())
+
     def test_len_tracks_cancellations_live(self):
-        queue = EventQueue()
+        queue = self._queue()
         events = [queue.push(10 * index, lambda: None) for index in range(10)]
         assert len(queue) == 10
         for event in events[:4]:
@@ -313,45 +318,43 @@ class TestEventQueueAccounting:
         assert len(queue) == 6
 
     def test_cancel_after_pop_is_harmless(self):
-        queue = EventQueue()
+        queue = self._queue()
         event = queue.push(1, lambda: None)
         queue.push(2, lambda: None)
         popped = queue.pop()
-        assert popped is event
+        assert popped[2] is event
         event.cancel()
         assert len(queue) == 1
-        assert queue.pop().time_ns == 2
+        assert queue.pop()[2].time_ns == 2
 
     def test_cancelled_discarded_counts_top_skips(self):
-        queue = EventQueue()
+        queue = self._queue()
         first = queue.push(1, lambda: None)
         second = queue.push(2, lambda: None)
-        queue.push(3, lambda: None)
+        third = queue.push(3, lambda: None)
         first.cancel()
         second.cancel()
-        assert queue.peek_time_ns() == 3
+        assert queue.top_key() == (3, third.sequence)
         assert queue.cancelled_discarded == 2
-        assert queue.pop().time_ns == 3
+        assert queue.pop()[2] is third
         assert queue.pop() is None
 
-    def test_lazy_compaction_when_cancellations_dominate(self):
-        queue = EventQueue()
-        doomed = [queue.push(1000 + index, lambda: None) for index in range(100)]
-        survivors = [queue.push(10_000 + index, lambda: None) for index in range(5)]
+    def test_cancellations_dominating_the_queue_are_discarded_once(self):
+        sim = Simulator()
+        fired = []
+        doomed = [sim.schedule_at_ns(1000 + index, lambda: None) for index in range(100)]
+        survivors = [
+            sim.schedule_at_ns(10_000 + index, lambda t=10_000 + index: fired.append(t))
+            for index in range(5)
+        ]
         for event in doomed:
             event.cancel()
-        assert len(queue) == 5
-        # Compaction kicked in: the heap physically dropped most corpses
-        # without waiting for them to surface at the top.
-        assert queue.cancelled_discarded > 0
-        assert len(queue._heap) < len(doomed) + len(survivors)
-        popped = []
-        while queue:
-            popped.append(queue.pop().time_ns)
-        assert popped == sorted(event.time_ns for event in survivors)
+        assert sim.pending_events == 5
+        assert sim.run() == len(survivors)
+        assert fired == sorted(event.time_ns for event in survivors)
         # Draining accounts for every cancelled event exactly once.
-        assert queue.cancelled_discarded == len(doomed)
-        assert queue.pop() is None
+        assert sim.cancelled_events_discarded == len(doomed)
+        assert sim.pending_events == 0
 
     def test_simulator_exposes_discard_stat(self):
         sim = Simulator()
@@ -359,7 +362,7 @@ class TestEventQueueAccounting:
         event.cancel()
         assert sim.pending_events == 0
         sim.run()
-        assert sim.cancelled_events_discarded >= 0
+        assert sim.cancelled_events_discarded == 1
 
 
 # ---------------------------------------------------------------------------
