@@ -46,6 +46,7 @@ import argparse
 import gc
 import json
 import os
+import platform
 import resource
 import subprocess
 import sys
@@ -200,9 +201,6 @@ def measure_one(scale: int, config: str) -> dict:
         result["frames_per_second"] = round(frames / cpu_seconds, 1)
         result["pool"] = traffic.pool_statistics()
         result["wheel"] = traffic.wheel_statistics()
-        result["coalesced"] = sum(
-            run.segment(spec.name).frames_coalesced for spec in run.spec.segments
-        )
         result["traffic"] = traffic.traffic_statistics()
     else:
         result["wall_frames_per_second"] = round(frames / wall_seconds, 1)
@@ -379,7 +377,13 @@ def record_entry(entry: dict) -> None:
     # The RunReport is a CI artifact payload, not a tracked benchmark
     # metric — keep it out of the append-only history.
     entry = {k: v for k, v in entry.items() if k != "run_report"}
-    history.append({"population": entry})
+    history.append(
+        {
+            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
+            "python": platform.python_version(),
+            "population": entry,
+        }
+    )
     RESULTS_PATH.write_text(json.dumps(history, indent=2) + "\n")
     print(f"recorded entry {len(history)} in {RESULTS_PATH.name}")
 

@@ -136,7 +136,7 @@ class NetworkInterface:
         :class:`~repro.costs.cpu.CpuQueue` (hosts, active nodes, the baseline
         bridges and repeaters — the catalog protocols declare it
         automatically), and it admits the segment to the *deferred* express
-        drain (:meth:`Segment._express_drain`): service bookkeeping runs
+        drain (:meth:`Segment._drain_backlog`): service bookkeeping runs
         batched at transmit time while deliveries stay on the event ring at
         their exact strict-engine timestamps.
 

@@ -35,13 +35,19 @@ the eligibility rules):
   declared ``inline_safe``: the whole service → delivery → reply chain runs
   inline at exact strict-engine timestamps, skipping the event ring
   entirely;
-* **deferred** (:meth:`Segment._express_drain`) — every up receiver is inert
-  or declared ``segment_local`` (its reactions ride a CPU queue or timer,
-  never the wire synchronously): wire *service* is batched at transmit time
-  — one clock fetch and one arithmetic chain per backlog instead of one
-  service event per frame — while deliveries stay on the event ring at their
-  exact strict-engine timestamps, so handlers still execute in global shard
-  time order.
+* **deferred** (:meth:`Segment._drain_backlog`) — every up receiver is
+  inert or declared ``segment_local`` (its reactions ride a CPU queue or
+  timer, never the wire synchronously): wire *service* is batched at
+  transmit time — one clock fetch and one arithmetic chain per backlog
+  instead of one service event per frame — while deliveries stay on the
+  event ring at their exact strict-engine timestamps, so handlers still
+  execute in global shard time order.
+
+The same :meth:`Segment._drain_backlog` serves a relaxed cut segment's mailed
+transmits at the window barrier, parking one delivery leg per receiver run.
+Everything else — the single engine, strict shards, fault-model segments —
+serves one frame per service event: :meth:`Segment._serve_frame_local` on a
+shard-local segment, :meth:`Segment._serve_frame_cut` on a cut one.
 
 **Fault hooks.**  The fault subsystem (:mod:`repro.faults`) drives three
 dynamic knobs, all mutated only from driver/control context — the single
@@ -91,6 +97,13 @@ EXPRESS_INLINE = 1
 EXPRESS_DEFERRED = 2
 
 _EXPRESS_MODE_NAMES = ("off", "inline", "deferred")
+
+#: In-flight entry states (``entry[4]``) of a batched drain: killed by
+#: set_link, delivery pending, or home leg already run.  Run legs deliver on
+#: any truthy state; only set_link, at a barrier, writes ``_KILLED``.
+_KILLED = 0
+_LIVE = 1
+_DELIVERED = 2
 
 
 class Segment:
@@ -148,22 +161,15 @@ class Segment:
         # (deliveries stay on the ring) when every up receiver is inert or
         # declared segment-local.  Refreshed on attach/detach/set_up/
         # set_handler and every fault hook; see _express_pump and
-        # _express_drain for the contracts.
+        # _drain_backlog for the contracts.
         self._express = EXPRESS_OFF
-        # Deferred-express bookkeeping: frames whose service was batched but
+        # Batched-drain bookkeeping: frames whose service was batched but
         # whose delivery has not fired yet.  Entries are
-        # [pop_ns, prior_busy, sender, frame, live] lists shared with the
-        # scheduled delivery callback; set_link(False) kills the not-yet-
-        # on-the-wire suffix and rolls the busy chain back (classic drop
+        # [pop_ns, prior_busy, sender, frame, state, cut] lists shared with
+        # the parked delivery legs; set_link(False) kills the not-yet-on-
+        # the-wire suffix and rolls the busy chain back (classic drop
         # semantics without per-frame service events).
         self._express_inflight: Deque[list] = deque()
-        # Multi-source drain coalescing (population-scale hot path): the
-        # first transmit of an instant drains directly (zero overhead for
-        # the single-source workloads), and any further same-instant
-        # transmits arm ONE batched drain event that collects the whole
-        # backlog after every same-instant sender has enqueued.
-        self._last_drain_ns = -1
-        self._drain_armed = False
         # Fault state (repro.faults): link status, the loss/corruption model
         # consulted per serviced frame, and the nominal wire characteristics
         # set_degrade() scales from.  Only mutated from driver/control
@@ -178,13 +184,6 @@ class Segment:
         self.cross_shard_frames = 0
         self.frames_lost = 0
         self.frames_corrupted = 0
-        #: Frames serviced through a coalesced multi-source batch drain.
-        self.frames_coalesced = 0
-        # Precompiled per-frame service pipeline (see _refresh_pipeline):
-        # _service_next dispatches through this cached bound method so the
-        # per-frame loop pays zero topology/fault conditionals on plain
-        # segments.
-        self._serve_frame = self._serve_frame_plain
 
     # ------------------------------------------------------------------
     # Attachment
@@ -274,11 +273,9 @@ class Segment:
         active loss model draws from a stochastic stream at service order
         and service *time*, which the batched drain would stamp differently.
         Every fault mutation (:meth:`set_link`, :meth:`set_fault_model`) and
-        every port up/down re-runs this refresh — and re-selects the
-        precompiled service pipeline — which is what makes mid-run fall-back
-        and re-expression deterministic.
+        every port up/down re-runs this refresh, which is what makes mid-run
+        fall-back and re-expression deterministic.
         """
-        self._refresh_pipeline()
         model = self._fault_model
         if not self._link_up or (model is not None and model.active):
             self._express = EXPRESS_OFF
@@ -312,25 +309,6 @@ class Segment:
     def express_mode(self) -> str:
         """Current express-lane eligibility: ``off``, ``inline`` or ``deferred``."""
         return _EXPRESS_MODE_NAMES[self._express]
-
-    def _refresh_pipeline(self) -> None:
-        """Re-select the precompiled per-frame service pipeline.
-
-        ``_service_next`` dispatches each frame through one cached bound
-        method, chosen here from the segment's topology/fault shape, so the
-        common no-runs/no-model segment serves frames with zero per-frame
-        conditionals.  Invalidated by exactly the hooks that refresh express
-        eligibility (attach/detach, port up/down, handler changes, every
-        fault mutation) plus :meth:`set_degrade`.  The arithmetic in every
-        variant is kept textually identical to preserve bit-identical floats
-        across engine modes.
-        """
-        if self._delivery_runs is not None:
-            self._serve_frame = self._serve_frame_cut
-        elif self._fault_model is not None:
-            self._serve_frame = self._serve_frame_model
-        else:
-            self._serve_frame = self._serve_frame_plain
 
     # ------------------------------------------------------------------
     # Fault hooks (repro.faults) — driver/control context only
@@ -369,8 +347,8 @@ class Segment:
                 self._count_drop(sender, frame, "link-down")
             inflight = self._express_inflight
             if inflight:
-                # Deferred-express frames were serviced (batched) ahead of
-                # time; the ones whose classic service *pop* would not have
+                # Drained frames were serviced (batched) ahead of time; the
+                # ones whose classic service *pop* would not have
                 # happened yet (pop_ns >= now: faults precede same-instant
                 # traffic in every mode) are exactly the frames the classic
                 # path would still hold queued — kill their parked
@@ -384,12 +362,12 @@ class Segment:
                     killed.reverse()
                     self._busy_until = killed[0][1]
                     for entry in killed:
-                        entry[4] = 0
+                        entry[4] = _KILLED
                         self.frames_carried -= 1
                         self.bytes_carried -= entry[3].wire_length
-                        if len(entry) == 6:
-                            # Cut-drain entry: its serve also counted a
-                            # cross-shard frame that now never crosses.
+                        if entry[5]:
+                            # Cut entry: its serve also counted a cross-shard
+                            # frame that now never crosses.
                             self.cross_shard_frames -= 1
                         self._count_drop(entry[2], entry[3], "link-down")
         self._refresh_express()
@@ -434,7 +412,6 @@ class Segment:
             raise TopologyError(f"degrade extra_delay {extra_delay} is negative")
         self.bandwidth_bps = self._nominal_bandwidth_bps * bandwidth_scale
         self.propagation_delay = self._nominal_propagation_delay + extra_delay
-        self._refresh_pipeline()
         trace = self._trace
         if trace.wants("segment.degrade"):
             trace.emit(
@@ -599,51 +576,16 @@ class Segment:
             else:
                 # Deferred express lane: batch the wire service now, leave
                 # deliveries on the ring at their exact strict timestamps.
-                # The first transmit of an instant drains directly; further
-                # same-instant transmits (multi-source backlogs: request
-                # fan-in, burst collisions at population scale) arm one
-                # batched drain that runs after every same-instant sender
-                # has enqueued, so N sources cost one drain pass, not N.
-                now_ns = sim.clock._now_ns
-                if now_ns != self._last_drain_ns:
-                    self._last_drain_ns = now_ns
-                    self._express_drain()
-                elif not self._drain_armed:
-                    self._drain_armed = True
-                    sim._queue.push_fire(now_ns, self._drain_coalesced)
+                self._drain_backlog()
             return
         self._in_service = True
-        self._serve_frame()
+        if self._delivery_runs is None:
+            self._serve_frame_local()
+        else:
+            self._serve_frame_cut()
 
-    def _serve_frame_plain(self) -> None:
-        """Serve one frame on a shard-local, fault-free segment.
-
-        The precompiled common case: no delivery runs, no fault model — all
-        per-frame conditionals were hoisted into :meth:`_refresh_pipeline`.
-        Arithmetic and scheduling order are textually identical to the other
-        variants (bit-identical floats, identical event sequence numbers).
-        """
-        sender, frame = self._pending.popleft()
-        now = self.sim.clock._now_s
-        busy = self._busy_until
-        start = now if now >= busy else busy
-        finish = start + frame.wire_length * 8.0 / self.bandwidth_bps
-        self._busy_until = finish
-        self.frames_carried += 1
-        self.bytes_carried += frame.wire_length
-        self._schedule(
-            finish + self.propagation_delay,
-            partial(self._deliver, sender, frame),
-        )
-        self._schedule(finish, self._service_next)
-
-    def _serve_frame_model(self) -> None:
-        """Serve one frame on a shard-local segment with a fault model attached.
-
-        Shares the plain variant's tail (one deliver + one next-service
-        schedule) instead of duplicating the scheduling calls per branch, so
-        the judged path allocates nothing beyond the verdict's drop record.
-        """
+    def _serve_frame_local(self) -> None:
+        """Serve one frame on a shard-local segment (one service event each)."""
         sender, frame = self._pending.popleft()
         now = self.sim.clock._now_s
         busy = self._busy_until
@@ -653,38 +595,48 @@ class Segment:
         self.frames_carried += 1
         self.bytes_carried += frame.wire_length
         model = self._fault_model
-        if model is not None and model.active:
-            verdict = model.judge(frame)
-            if verdict is not None:
-                # The frame occupies the wire exactly as a delivered one
-                # (the _busy_until chain above already advanced) but never
-                # reaches a receiver: lost outright, or corrupted and
-                # discarded by every NIC's FCS check.
-                if verdict == "corrupt":
-                    self.frames_corrupted += 1
-                    self._emit_drop(self._trace, sender, frame, "corrupt")
-                else:
-                    self._count_drop(sender, frame, "loss")
-                self._schedule(finish, self._service_next)
-                return
+        if model is not None and model.active and self._judged_away(
+            model, sender, frame
+        ):
+            self._schedule(finish, self._service_next)
+            return
         self._schedule(
             finish + self.propagation_delay,
             partial(self._deliver, sender, frame),
         )
         self._schedule(finish, self._service_next)
 
+    def _judged_away(self, model, sender: "NetworkInterface",
+                     frame: EthernetFrame) -> bool:
+        """Consult the active fault model for one serviced frame.
+
+        A judged frame occupies the wire exactly as a delivered one (the
+        caller already advanced ``_busy_until``) but never reaches a
+        receiver: lost outright, or corrupted and discarded by every NIC's
+        FCS check.  Returns whether the frame was judged away.
+        """
+        verdict = model.judge(frame)
+        if verdict is None:
+            return False
+        if verdict == "corrupt":
+            self.frames_corrupted += 1
+            self._emit_drop(self._trace, sender, frame, "corrupt")
+        else:
+            self._count_drop(sender, frame, "loss")
+        return True
+
     def _serve_frame_cut(self) -> None:
         """Serve one frame on a cut segment (inter-shard delivery runs)."""
         sim = self.sim
-        if sim.relaxed and self._delivery_runs is not None:
-            model = self._fault_model
-            if (model is None or not model.active) and active_shard() is None:
-                # Barrier context (mailed transmit replay) on a fault-free
-                # cut segment: batch the wire service right now, exactly as
-                # the deferred express lane does, instead of round-tripping
-                # a service event per frame through the home ring.
-                self._drain_cut()
-                return
+        model = self._fault_model
+        judged = model is not None and model.active
+        if sim.relaxed and not judged and active_shard() is None:
+            # Barrier context (mailed transmit replay) on a fault-free cut
+            # segment: batch the wire service right now, exactly as the
+            # deferred express lane does, instead of round-tripping a
+            # service event per frame through the home ring.
+            self._drain_backlog()
+            return
         sender, frame = self._pending.popleft()
         now = sim.clock._now_s
         busy = self._busy_until
@@ -696,78 +648,58 @@ class Segment:
         # Wire occupancy, consistent with serialization_delay(): the frame
         # plus preamble/SFD/inter-frame gap, not just header+payload+FCS.
         self.bytes_carried += frame.wire_length
+        if judged and self._judged_away(model, sender, frame):
+            self._schedule_cut_completion(sim, finish)
+            return
 
-        model = self._fault_model
-        if model is not None and model.active:
-            verdict = model.judge(frame)
-            if verdict is not None:
-                if verdict == "corrupt":
-                    self.frames_corrupted += 1
-                    self._emit_drop(self._trace, sender, frame, "corrupt")
-                else:
-                    self._count_drop(sender, frame, "loss")
-                self._schedule_cut_completion(sim, finish)
-                return
-
+        # One delivery event per contiguous same-shard run of receivers,
+        # scheduled consecutively (so their shared-counter sequence numbers
+        # preserve attach order) on each receiving shard.
         runs = self._delivery_runs
-        if runs is None:
-            # Retopologized to all-home since the pipeline was selected
-            # (refresh happens before the in-flight service event fires).
-            self._schedule(
-                deliver_at,
-                partial(self._deliver, sender, frame),
-            )
-        else:
-            # Cut segment: one delivery event per contiguous same-shard run of
-            # receivers, scheduled consecutively (so their shared-counter
-            # sequence numbers preserve attach order) on each receiving shard.
-            self.cross_shard_frames += 1
-            if sim.relaxed:
-                # Relaxed: the segment.deliver record must be stamped by this
-                # segment's *home* clock at the delivery time, so it becomes
-                # its own home-shard event instead of piggybacking on the
-                # first run (whose shard sits at a different private time).
-                # Inside a window everything is staged in the caller's
-                # outbox; at a barrier (transmit replay) the rings are safe
-                # to push directly.
-                deliver_ns = round(deliver_at * NANOSECONDS_PER_SECOND)
-                caller = active_shard()
-                if caller is not None:
-                    # A cut segment's service always runs on its home shard,
-                    # so home-bound work (the deliver record and home runs)
-                    # can push straight onto the caller's own ring — keeping
-                    # its bucket position identical to the strict engine's —
-                    # while runs for other shards stage in the outbox.
-                    home_push = sim._queue.push_fire
-                    outbox = caller.outbox
-                    home_push(
-                        deliver_ns, partial(self._emit_deliver, sender, frame)
-                    )
-                    for engine, run in runs:
-                        deliver_run = partial(
-                            self._deliver_run, sender, frame, run, False
-                        )
-                        if engine is sim:
-                            home_push(deliver_ns, deliver_run)
-                        else:
-                            outbox.append(("push", deliver_ns, engine, deliver_run))
-                else:
-                    sim._relaxed_push_fire(
-                        deliver_ns, partial(self._emit_deliver, sender, frame)
-                    )
-                    for engine, run in runs:
-                        engine._relaxed_push_fire(
-                            deliver_ns,
-                            partial(self._deliver_run, sender, frame, run, False),
-                        )
-            else:
-                first = True
+        self.cross_shard_frames += 1
+        if sim.relaxed:
+            # Relaxed: the segment.deliver record must be stamped by this
+            # segment's *home* clock at the delivery time, so it becomes its
+            # own home-shard event instead of piggybacking on the first run
+            # (whose shard sits at a different private time).  Inside a
+            # window everything is staged in the caller's outbox; at a
+            # barrier (transmit replay) the rings are safe to push directly.
+            deliver_ns = round(deliver_at * NANOSECONDS_PER_SECOND)
+            caller = active_shard()
+            if caller is not None:
+                # A cut segment's service always runs on its home shard, so
+                # home-bound work (the deliver record and home runs) can push
+                # straight onto the caller's own ring — keeping its bucket
+                # position identical to the strict engine's — while runs for
+                # other shards stage in the outbox.
+                home_push = sim._queue.push_fire
+                outbox = caller.outbox
+                home_push(deliver_ns, partial(self._emit_deliver, sender, frame))
                 for engine, run in runs:
-                    engine.schedule_fire(
-                        deliver_at,
-                        partial(self._deliver_run, sender, frame, run, first),
+                    deliver_run = partial(
+                        self._deliver_run, sender, frame, run, False
                     )
-                    first = False
+                    if engine is sim:
+                        home_push(deliver_ns, deliver_run)
+                    else:
+                        outbox.append(("push", deliver_ns, engine, deliver_run))
+            else:
+                sim._relaxed_push_fire(
+                    deliver_ns, partial(self._emit_deliver, sender, frame)
+                )
+                for engine, run in runs:
+                    engine._relaxed_push_fire(
+                        deliver_ns,
+                        partial(self._deliver_run, sender, frame, run, False),
+                    )
+        else:
+            first = True
+            for engine, run in runs:
+                engine.schedule_fire(
+                    deliver_at,
+                    partial(self._deliver_run, sender, frame, run, first),
+                )
+                first = False
         self._schedule_cut_completion(sim, finish)
 
     def _schedule_cut_completion(self, sim, finish: float) -> None:
@@ -834,20 +766,30 @@ class Segment:
                 lambda: {"sender": sender.name, "frame": frame.describe()},
             )
 
-    def _express_drain(self) -> None:
-        """Batch-service the transmit backlog (relaxed deferred express lane).
+    def _drain_backlog(self) -> None:
+        """Batch-service the whole transmit backlog (no service events).
 
-        The insight behind the deferred lane: wire *service* is pure
-        arithmetic — pop, advance the ``_busy_until`` chain, schedule the
-        delivery — so nothing forces it to wait for its own service event.
-        This drain services every queued frame at transmit time in one run
-        (one clock fetch, one busy-chain walk per batch) and schedules each
+        Wire *service* is pure arithmetic — pop, advance the ``_busy_until``
+        chain, schedule the delivery — so nothing forces it to wait for its
+        own service event.  This drain services every queued frame in one
+        run (one clock fetch, one busy-chain walk per batch) and parks each
         delivery as a fire-and-forget ring event at the exact nanosecond the
-        classic path would, eliding the per-frame service event entirely.
-        Handlers therefore still run in shard time order with every other
-        event (CPU completions, timers) — unlike the inline pump, no handler
-        ever executes early — which is why the eligibility bar is only
-        "reactions never escape the segment synchronously".
+        classic path would.  It serves two callers:
+
+        * the deferred express lane, in-window on a shard-local segment:
+          one parked leg per frame, which delivers to every receiver.
+          Handlers therefore still run in shard time order with every other
+          event (CPU completions, timers) — unlike the inline pump, no
+          handler ever executes early — which is why the eligibility bar is
+          only "reactions never escape the segment synchronously";
+        * a relaxed cut segment's mailed transmits, in barrier context
+          (:meth:`_serve_frame_cut`): a cut segment's transmits arrive
+          *only* through the mail barrier, so the per-frame completion
+          event would buy nothing but ring traffic.  The home leg emits the
+          ``segment.deliver`` record and one leg per receiver run is parked
+          on its receiving shard.  Callers fall back to per-frame service
+          while a fault model is active, keeping the ``judge()`` draw order
+          identical to strict.
 
         Service-start times replicate the classic chain bit-for-bit: a frame
         that would have waited for a service event at ``round(busy * ns)``
@@ -856,130 +798,18 @@ class Segment:
         the strict engine.
 
         Each batched frame leaves an in-flight entry
-        ``[pop_threshold_ns, prior_busy, sender, frame, live]`` shared with
-        its delivery callback: :meth:`set_link` uses the threshold to kill
+        ``[pop_threshold_ns, prior_busy, sender, frame, state, cut]`` shared
+        with its parked legs: :meth:`set_link` uses the threshold to kill
         exactly the frames the classic path would still hold queued at the
         instant of failure (their service pop would fire at or after the
         fault, which precedes same-instant traffic), rolling the busy chain
-        and the carried counters back.  A frame popped directly at transmit
-        time stores ``now - 1`` so a same-instant failure — which by the
-        fault-precedence contract ran *before* the transmit — never kills
-        it.  Batch boundaries fall on every fault/port/model transition
-        because each of those re-runs :meth:`_refresh_express` and drops the
-        segment off the lane before the next transmit.
-        """
-        self._in_service = False
-        sim = self.sim
-        clock = sim.clock
-        push = sim._queue.push_fire
-        pending = self._pending
-        inflight = self._express_inflight
-        bandwidth = self.bandwidth_bps
-        prop = self.propagation_delay
-        busy = self._busy_until
-        now = clock._now_s
-        now_ns = clock._now_ns
-        carried = 0
-        carried_bytes = 0
-        while pending:
-            sender, frame = pending.popleft()
-            if now >= busy:
-                start = now
-                pop_ns = now_ns - 1
-            else:
-                pop_ns = round(busy * NANOSECONDS_PER_SECOND)
-                quantized = pop_ns / NANOSECONDS_PER_SECOND
-                start = quantized if quantized >= busy else busy
-            finish = start + frame.wire_length * 8.0 / bandwidth
-            entry = [pop_ns, busy, sender, frame, 1]
-            busy = finish
-            carried += 1
-            carried_bytes += frame.wire_length
-            inflight.append(entry)
-            push(
-                round((finish + prop) * NANOSECONDS_PER_SECOND),
-                partial(self._deliver_express, entry),
-            )
-        self._busy_until = busy
-        self.frames_carried += carried
-        self.bytes_carried += carried_bytes
-
-    def _drain_coalesced(self) -> None:
-        """Run the armed multi-source batch drain (same-instant ring event).
-
-        Fires on the home ring at the arming instant, *after* every
-        same-instant transmit already in the bucket has enqueued its frame
-        — event-queue buckets are FIFO in push order — so the whole
-        multi-source backlog is serviced in one :meth:`_express_drain`
-        pass.  Conditions are re-checked from scratch: if the segment fell
-        off the express lane (fault hook, port flip) or the link died
-        between arming and firing, the backlog is routed back through the
-        classic :meth:`_service_next` arm, which handles every fallback.
-        """
-        self._drain_armed = False
-        if not self._pending or self._in_service:
-            return
-        sim = self.sim
-        if (
-            self._express == EXPRESS_DEFERRED
-            and self._link_up
-            and sim.relaxed
-            and active_shard() is not None
-        ):
-            self.frames_coalesced += len(self._pending)
-            self._express_drain()
-        else:
-            self._service_next()
-
-    def _deliver_express(self, entry: list) -> None:
-        """Deliver one deferred-express frame (ring event at its exact time)."""
-        if not entry[4]:
-            return
-        entry[4] = 0
-        self._prune_inflight()
-        self._deliver(entry[2], entry[3])
-
-    def _prune_inflight(self) -> None:
-        """Drop retired head entries from the in-flight window.
-
-        An express entry retires when its single delivery consumes it
-        (``live`` cleared); a cut-drain entry retires when its home leg runs
-        (``consumed`` set) because the remote run legs only ever read the
-        ``live`` flag.  Killed entries never reach here — :meth:`set_link`
-        pops them directly.  Always called on the home shard's event loop
-        (express deliveries and cut home legs both ride the home ring), so
-        there is no race with threaded remote windows.
-        """
-        inflight = self._express_inflight
-        while inflight:
-            head = inflight[0]
-            if head[4] and (len(head) == 5 or not head[5]):
-                break
-            inflight.popleft()
-
-    def _drain_cut(self) -> None:
-        """Batch-service mailed transmits on a cut segment (barrier context).
-
-        The deferred express-lane insight (see :meth:`_express_drain`)
-        applies to cut segments too, with one extra ace: in relaxed mode a
-        cut segment's transmits arrive *only* through the mail barrier
-        (windows are pumped strictly below the next control time), so every
-        serve already happens in barrier context and the per-frame
-        ``_service_next`` completion event buys nothing but ring traffic.
-        This drain replicates :meth:`_serve_frame_cut`'s barrier arm —
-        quantized service starts, one home ``segment.deliver`` record plus
-        one parked delivery per receiver run, all at the exact strict-engine
-        nanosecond — without scheduling a single service event.
-
-        Eligibility is checked by the caller per serve (relaxed, runs
-        attached, no active fault model, no active shard), so fault-model
-        transitions fall back to the classic arm and keep the per-frame
-        ``judge()`` draw order identical to strict.  In-flight entries are
-        ``[pop_threshold_ns, prior_busy, sender, frame, live, consumed]`` —
-        the express entry plus a consumed flag, because a cut frame has
-        several parked callbacks and only the home leg may retire it.
-        :meth:`set_link` kills and refunds them exactly like express
-        entries (plus the cross-shard counter).
+        and the carried counters back (plus the cross-shard counter when
+        ``cut``).  A frame popped directly at drain time stores ``now - 1``
+        so a same-instant failure — which by the fault-precedence contract
+        ran *before* the transmit — never kills it.  Batch boundaries fall
+        on every fault/port/model transition because each of those re-runs
+        :meth:`_refresh_express` and drops the segment off the lane before
+        the next transmit.
         """
         self._in_service = False
         sim = self.sim
@@ -988,6 +818,7 @@ class Segment:
         pending = self._pending
         inflight = self._express_inflight
         runs = self._delivery_runs
+        cut = runs is not None
         bandwidth = self.bandwidth_bps
         prop = self.propagation_delay
         busy = self._busy_until
@@ -1005,39 +836,51 @@ class Segment:
                 quantized = pop_ns / NANOSECONDS_PER_SECOND
                 start = quantized if quantized >= busy else busy
             finish = start + frame.wire_length * 8.0 / bandwidth
-            entry = [pop_ns, busy, sender, frame, 1, 0]
+            entry = [pop_ns, busy, sender, frame, _LIVE, cut]
             busy = finish
             carried += 1
             carried_bytes += frame.wire_length
             inflight.append(entry)
             deliver_ns = round((finish + prop) * NANOSECONDS_PER_SECOND)
-            push(deliver_ns, partial(self._deliver_cut_parked, entry, None))
-            for engine, run in runs:
-                engine._relaxed_push_fire(
-                    deliver_ns, partial(self._deliver_cut_parked, entry, run)
-                )
+            push(deliver_ns, partial(self._deliver_parked, entry, None))
+            if cut:
+                for engine, run in runs:
+                    engine._relaxed_push_fire(
+                        deliver_ns, partial(self._deliver_parked, entry, run)
+                    )
         self._busy_until = busy
         self.frames_carried += carried
         self.bytes_carried += carried_bytes
-        self.cross_shard_frames += carried
+        if cut:
+            self.cross_shard_frames += carried
 
-    def _deliver_cut_parked(self, entry: list, run) -> None:
-        """Fire one parked cut-drain delivery leg at its exact ring time.
+    def _deliver_parked(self, entry: list, run) -> None:
+        """Fire one parked delivery leg of a drained frame at its ring time.
 
-        ``run is None`` is the home leg: it emits the ``segment.deliver``
-        record, retires the entry and prunes the in-flight window (home
-        ring, so serialized against :meth:`set_link` barriers).  Run legs
-        execute on their receiving shards and only read the ``live`` flag,
-        which is written exclusively at barriers — no cross-thread race.
+        ``run is None`` is the home leg: it retires the entry, prunes
+        delivered entries off the head of the in-flight window (killed ones
+        were already popped by :meth:`set_link`; the home ring serializes
+        this against its barriers) and then delivers to every receiver — or,
+        for a cut entry, only emits the ``segment.deliver`` record.  Run
+        legs execute on their receiving shards and only test the state for
+        truth, which turns false exclusively at barriers — no cross-thread
+        race.
         """
+        state = entry[4]
         if run is not None:
-            if entry[4]:
+            if state:
                 self._deliver_run(entry[2], entry[3], run, False)
             return
-        if entry[4]:
+        if not state:
+            return
+        entry[4] = _DELIVERED
+        inflight = self._express_inflight
+        while inflight and inflight[0][4] == _DELIVERED:
+            inflight.popleft()
+        if entry[5]:
             self._emit_deliver(entry[2], entry[3])
-        entry[5] = 1
-        self._prune_inflight()
+        else:
+            self._deliver(entry[2], entry[3])
 
     def _express_pump(self, s_ns: int) -> None:
         """Drain this segment's service loop inline (relaxed express lane).

@@ -41,7 +41,6 @@ METRIC_FAMILIES: Dict[str, str] = {
     "segment_bytes_carried": "payload bytes the segment carried (snapshot)",
     "segment_frames_lost": "frames dropped by faults/failures (snapshot)",
     "segment_frames_corrupted": "frames delivered corrupted (snapshot)",
-    "segment_frames_coalesced": "frames served through coalesced batch drains",
     "segment_cross_shard_frames": "frames that crossed a shard cut",
     "segment_busy_seconds": "end of the segment's wire busy chain (snapshot)",
     "segment_utilization": "fraction of wire capacity used since time zero",

@@ -27,7 +27,6 @@ SEGMENT_STAT_FIELDS = (
     "cross_shard_frames",
     "frames_lost",
     "frames_corrupted",
-    "frames_coalesced",
 )
 
 
@@ -111,22 +110,18 @@ class RunReport:
 def _express_summary(segments: Dict[str, dict]) -> dict:
     """Express-lane hit rates aggregated over a segment-stats snapshot."""
     frames_by_mode = {"off": 0, "inline": 0, "deferred": 0}
-    coalesced = 0
     for stats in segments.values():
         mode = stats.get("express_mode", "off")
         frames_by_mode[mode] = frames_by_mode.get(mode, 0) + stats["frames_carried"]
-        coalesced += stats["frames_coalesced"]
     total = sum(frames_by_mode.values())
     summary: Dict[str, object] = {
         "frames_by_mode": frames_by_mode,
-        "frames_coalesced": coalesced,
         "frames_total": total,
     }
     if total:
         summary["hit_rates"] = {
             mode: count / total for mode, count in frames_by_mode.items()
         }
-        summary["coalesced_rate"] = coalesced / total
     return summary
 
 

@@ -382,17 +382,19 @@ class TestExpressLaneReevaluation:
 
 
 class TestCutDrainLinkDown:
-    """Batched cut-segment service straddling a mid-window link failure.
+    """Batched segment service straddling a mid-window link failure.
 
     In relaxed mode a cut segment's mailed transmits are serviced in one
-    batch at the barrier (``Segment._drain_cut``), so at the instant a
-    scripted ``link-down`` fires the busy chain may extend *past* the fault:
-    exactly the frames the classic path would still hold queued must be
-    killed (parked deliveries cancelled, busy chain and counters rolled
-    back) while already-popped frames keep arriving.  The episode below
-    keeps the target segment's wire saturated (each bounce answers twice)
-    and cycles the link three times, so several outages land inside a busy
-    chain — and the run must stay canonical-merge identical to strict.
+    batch at the barrier, and a shard-local segment on the deferred express
+    lane batches its backlog at transmit time — both through
+    ``Segment._drain_backlog`` — so at the instant a scripted ``link-down``
+    fires the busy chain may extend *past* the fault: exactly the frames the
+    classic path would still hold queued must be killed (parked deliveries
+    cancelled, busy chain and counters rolled back) while already-popped
+    frames keep arriving.  The episode below keeps the target segment's wire
+    saturated (each bounce answers twice) and cycles the link three times,
+    so several outages land inside a busy chain — and the run must stay
+    canonical-merge identical to strict.
     """
 
     WARM = 31.0
@@ -401,9 +403,11 @@ class TestCutDrainLinkDown:
         (WARM + 0.0052, WARM + 0.0063),
         (WARM + 0.0081, WARM + 0.0092),
     )
-    TARGET = "seg2"  # cut at shards=2 and shards=4 (deterministic partition)
+    # seg2 is cut at shards=2 and shards=4; seg1 is shard-local at shards=2
+    # (deterministic partition).
+    TARGET = "seg2"
 
-    def _drive(self, shards, sync, workers=0, frames=400):
+    def _drive(self, shards, sync, workers=0, frames=400, target=TARGET):
         run = run_scenario(
             "ring",
             params={"n_bridges": 3, "hosts_per_segment": 2},
@@ -411,8 +415,8 @@ class TestCutDrainLinkDown:
         )
         timeline = FaultTimeline()
         for down, up in self.OUTAGES:
-            timeline.link_down(down, self.TARGET)
-            timeline.link_up(up, self.TARGET)
+            timeline.link_down(down, target)
+            timeline.link_up(up, target)
         timeline.install(run.network)
         run.warm_up()
         states = []
@@ -433,7 +437,7 @@ class TestCutDrainLinkDown:
             # its segment always has a queued frame behind the one on the
             # wire — the faults land mid-busy-chain instead of between
             # exchanges.
-            burst = 2 if spec.name == self.TARGET else 1
+            burst = 2 if spec.name == target else 1
 
             def bounce(nic, reply, state=state, burst=burst):
                 def handler(_nic, _frame):
@@ -448,11 +452,17 @@ class TestCutDrainLinkDown:
             left.nic.set_handler(bounce(left.nic, forward), inline_safe=inline)
             right.nic.set_handler(bounce(right.nic, backward), inline_safe=inline)
             left.nic.send(forward)
-        segment = run.segment(self.TARGET)
+        segment = run.segment(target)
         stats = {"drains": 0, "kills": 0}
         if sync == "relaxed":
-            assert self.TARGET in run.partition.cut_segments
-            original_drain = segment._drain_cut
+            if target == self.TARGET:
+                assert target in run.partition.cut_segments
+            else:
+                # The bridge ports are segment-local, so the shard-local
+                # target rides the deferred express lane.
+                assert target not in run.partition.cut_segments
+                assert segment.express_mode == "deferred"
+            original_drain = segment._drain_backlog
             original_set_link = segment.set_link
 
             def spying_drain():
@@ -465,18 +475,27 @@ class TestCutDrainLinkDown:
                 if not up:
                     stats["kills"] += before - len(segment._express_inflight)
 
-            segment._drain_cut = spying_drain
+            segment._drain_backlog = spying_drain
             segment.set_link = spying_set_link
         run.sim.run_until(self.WARM + 0.012)
         return run, states, stats, segment
 
-    @pytest.mark.parametrize("shards", [2, 4])
-    def test_straddling_outage_matches_strict(self, shards):
-        strict_run, strict_states, _, strict_seg = self._drive(shards, "strict")
-        relaxed_run, relaxed_states, stats, relaxed_seg = self._drive(
-            shards, "relaxed"
+    @pytest.mark.parametrize(
+        "shards,target",
+        [
+            pytest.param(2, TARGET, id="2"),
+            pytest.param(4, TARGET, id="4"),
+            pytest.param(2, "seg1", id="local-2"),
+        ],
+    )
+    def test_straddling_outage_matches_strict(self, shards, target):
+        strict_run, strict_states, _, strict_seg = self._drive(
+            shards, "strict", target=target
         )
-        # The path under test genuinely ran: batched barrier service, and at
+        relaxed_run, relaxed_states, stats, relaxed_seg = self._drive(
+            shards, "relaxed", target=target
+        )
+        # The path under test genuinely ran: batched service, and at
         # least one outage killed in-flight entries mid-chain.
         assert stats["drains"] > 0
         assert stats["kills"] > 0

@@ -23,7 +23,10 @@ Three coverage contracts, all cheap and exact:
   axes and tie story documented where the fuzzer's inputs are specified;
 * every metric family in :data:`repro.telemetry.METRIC_FAMILIES` must be
   named in ``docs/telemetry.md`` — new instrumentation ships with its
-  meaning and labels documented, or CI fails.
+  meaning and labels documented, or CI fails;
+* every backticked ``Class.attr`` reference in ``docs/*.md`` to one of the
+  core classes in :data:`DOCUMENTED_CLASSES` must resolve on that class
+  (``hasattr``), so docs cannot keep naming a renamed or deleted mechanism.
 
 Run from the repository root::
 
@@ -36,6 +39,7 @@ metric without documenting it fails CI.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -46,9 +50,12 @@ sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 from perf_gate import collect_metrics  # noqa: E402
 
 from repro.faults import FAULT_KINDS  # noqa: E402
+from repro.lan.nic import NetworkInterface  # noqa: E402
+from repro.lan.segment import Segment  # noqa: E402
 from repro.population import STATION_ROLES, TRAFFIC_KINDS  # noqa: E402
 from repro.scenario.generators import GENERATORS  # noqa: E402
 from repro.scenario.registry import list_scenarios  # noqa: E402
+from repro.sim import EngineShard, ShardedSimulator, Simulator  # noqa: E402
 from repro.sim.relaxed import BACKENDS  # noqa: E402
 from repro.telemetry import METRIC_FAMILIES  # noqa: E402
 
@@ -58,6 +65,15 @@ BENCHMARKS_PAGE = REPO_ROOT / "docs" / "benchmarks.md"
 ARCHITECTURE_PAGE = REPO_ROOT / "docs" / "architecture.md"
 INTERCHANGE_PAGE = REPO_ROOT / "docs" / "topology-interchange.md"
 RESULTS_PATH = REPO_ROOT / "BENCH_trace.json"
+
+#: Classes whose ``Class.attr`` references in the docs must resolve.
+DOCUMENTED_CLASSES = {
+    cls.__name__: cls
+    for cls in (Segment, NetworkInterface, Simulator, EngineShard, ShardedSimulator)
+}
+CLASS_ATTR_RE = re.compile(
+    r"`(" + "|".join(DOCUMENTED_CLASSES) + r")\.([A-Za-z_]\w*)[^`]*`"
+)
 
 
 def metric_families(history: list) -> set:
@@ -77,6 +93,17 @@ def metric_families(history: list) -> set:
             else:
                 families.add(name)
     return families
+
+
+def unresolved_class_refs(pages) -> list:
+    """``(page, reference)`` for every ``Class.attr`` that does not resolve."""
+    missing = []
+    for page in pages:
+        for match in CLASS_ATTR_RE.finditer(page.read_text()):
+            name, attr = match.groups()
+            if not hasattr(DOCUMENTED_CLASSES[name], attr):
+                missing.append((page, f"{name}.{attr}"))
+    return missing
 
 
 def main() -> int:
@@ -157,6 +184,13 @@ def main() -> int:
                 f"{TELEMETRY_PAGE.relative_to(REPO_ROOT)}"
             )
 
+    doc_pages = sorted((REPO_ROOT / "docs").glob("*.md"))
+    for page, reference in unresolved_class_refs(doc_pages):
+        failures.append(
+            f"{page.relative_to(REPO_ROOT)} names `{reference}`, which does "
+            f"not resolve on its class"
+        )
+
     if failures:
         print(f"docs check: {len(failures)} problem(s):")
         for failure in failures:
@@ -170,7 +204,8 @@ def main() -> int:
         f"execution backends, {len(STATION_ROLES)} station roles, "
         f"{len(TRAFFIC_KINDS)} traffic kinds, {len(GENERATORS)} "
         f"topology generators and {len(METRIC_FAMILIES)} telemetry "
-        f"metric families all documented"
+        f"metric families all documented; every core-class reference in "
+        f"{len(doc_pages)} docs pages resolves"
     )
     return 0
 

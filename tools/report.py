@@ -126,7 +126,6 @@ def render_console(report: RunReport) -> str:
             "bytes",
             "lost",
             "corrupt",
-            "coalesced",
             "util",
             "express",
         )
@@ -139,7 +138,6 @@ def render_console(report: RunReport) -> str:
                     stats.get("bytes_carried", 0),
                     stats.get("frames_lost", 0),
                     stats.get("frames_corrupted", 0),
-                    stats.get("frames_coalesced", 0),
                     f"{stats.get('utilization', 0.0):.4f}",
                     stats.get("express_mode", "off"),
                 )
@@ -158,7 +156,6 @@ def render_console(report: RunReport) -> str:
             rate = express.get("hit_rates", {}).get(mode)
             suffix = f"  ({rate:.1%})" if rate is not None else ""
             rows.append((f"mode {mode}", f"{count}{suffix}"))
-        rows.append(("coalesced", express.get("frames_coalesced", 0)))
         parts.append(_rows("express", rows))
 
     if report.drops:
