@@ -159,8 +159,18 @@ class NetworkInterface:
             segment._refresh_express()
 
     def set_promiscuous(self, enabled: bool) -> None:
-        """Enable or disable promiscuous mode."""
-        self.promiscuous = enabled
+        """Enable or disable promiscuous mode.
+
+        A promiscuous NIC receives every unicast frame on its segment, so
+        the segment's unicast receive index (:meth:`Segment._targets`) is
+        invalidated through the same refresh :meth:`set_up` runs (express
+        eligibility ignores promiscuity, so that refresh is otherwise a
+        no-op).
+        """
+        self.promiscuous = bool(enabled)
+        segment = self.segment
+        if segment is not None:
+            segment._refresh_express()
 
     def set_up(self, up: bool) -> None:
         """Administratively enable/disable the interface.
@@ -208,7 +218,10 @@ class NetworkInterface:
         """Called by the segment when a frame arrives at this station.
 
         Applies the hardware address filter (unless promiscuous) and then
-        hands the frame to the owner's handler.
+        hands the frame to the owner's handler.  The segment's receive demux
+        (:meth:`Segment._targets`) already skips the unicast frames this
+        filter would reject; the filter stays for the cut-segment run walks,
+        which still visit every receiver.
         """
         if not self.up:
             self.frames_dropped += 1

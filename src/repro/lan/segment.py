@@ -7,6 +7,14 @@ Stations that want to transmit while the medium is busy are queued in FIFO
 order (an idealized, collision-free CSMA — adequate because the paper's
 experiments are not collision-bound, they are bridge-CPU-bound).
 
+**Receive demultiplexing.**  A station's NIC filters unicast frames for other
+stations in hardware, so the segment does not visit it for them: a unicast
+frame visits only the NICs whose MAC is its destination plus every
+promiscuous and every down NIC (which counts the drop), in attach order,
+through a lazily built per-segment index (:meth:`Segment._targets`).
+Group-addressed frames visit every station.  A skipped NIC would have
+emitted nothing and counted nothing, so outputs are unchanged.
+
 **Inter-shard channel.**  Under the sharded fabric
 (:mod:`repro.sim.fabric`) a segment may have stations placed on other shard
 engines than its own; such a segment is a *cut segment* and cross-shard frame
@@ -147,6 +155,12 @@ class Segment:
         # Attach-order snapshot iterated on delivery; rebuilding it on
         # attach/detach (rare) keeps the per-frame path copy-free.
         self._receivers: Tuple["NetworkInterface", ...] = ()
+        # Unicast receive index (see _targets): destination octets -> the
+        # attach-order receivers a unicast frame can touch, or None while
+        # stale; _unicast_other is the promiscuous-or-down subset, which is
+        # the whole answer for any destination the index does not key.
+        self._unicast: Optional[dict] = None
+        self._unicast_other: Tuple["NetworkInterface", ...] = ()
         self._busy_until = 0.0
         self._pending: Deque[Tuple["NetworkInterface", EthernetFrame]] = deque()
         self._in_service = False
@@ -275,7 +289,13 @@ class Segment:
         Every fault mutation (:meth:`set_link`, :meth:`set_fault_model`) and
         every port up/down re-runs this refresh, which is what makes mid-run
         fall-back and re-expression deterministic.
+
+        Every hook that can change which receivers a unicast frame reaches
+        (attach/detach, port up/down, promiscuity) comes through here, so
+        this is also where the unicast receive index is invalidated (see
+        :meth:`_targets`).
         """
+        self._unicast = None
         model = self._fault_model
         if not self._link_up or (model is not None and model.active):
             self._express = EXPRESS_OFF
@@ -913,6 +933,7 @@ class Segment:
         prop = self.propagation_delay
         runs = self._delivery_runs
         deliver = self._deliver
+        targets = self._targets
         # Batch-hoisted trace gate: one wants() check per pump run instead of
         # one per frame (the gate is run configuration, immutable mid-run).
         trace = self._trace
@@ -970,7 +991,7 @@ class Segment:
                                 "frame": f.describe(),
                             },
                         )
-                    for interface in self._receivers:
+                    for interface in targets(frame):
                         if interface is sender:
                             continue
                         interface.deliver(frame)
@@ -991,12 +1012,63 @@ class Segment:
                 "segment.deliver",
                 lambda: {"sender": sender.name, "frame": frame.describe()},
             )
-        # The receiver tuple is a stable snapshot: attach/detach during the
+        # The target tuple is a stable snapshot: attach/detach during the
         # loop rebuild it without disturbing this delivery.
-        for interface in self._receivers:
+        for interface in self._targets(frame):
             if interface is sender:
                 continue
             interface.deliver(frame)
+
+    def _targets(self, frame: EthernetFrame) -> Tuple["NetworkInterface", ...]:
+        """The attach-order receivers ``frame`` must visit (receive demux).
+
+        A non-promiscuous, up NIC drops a unicast frame addressed to another
+        station without touching a counter or emitting a record, exactly as
+        Ethernet hardware filters it before software runs.  So a unicast
+        frame only visits the NICs whose MAC equals its destination, the
+        promiscuous NICs (bridge ports) and the down NICs (which count
+        ``frames_dropped``).  Group-addressed frames — broadcast and
+        multicast share the group bit — pass every filter and visit every
+        receiver.  :meth:`NetworkInterface.deliver` still applies the full
+        filter, so every target's behaviour is unchanged.
+
+        The index is rebuilt on first use after :meth:`_refresh_express`
+        invalidates it, in O(n·p) for p promiscuous-or-down NICs.  Changes
+        take effect from the next frame on: a delivery loop iterates the
+        tuple it started with, as it always iterated the receiver snapshot.
+        """
+        octets = frame.destination._octets
+        if octets[0] & 1:
+            return self._receivers
+        index = self._unicast
+        if index is None:
+            index = self._build_unicast()
+        return index.get(octets, self._unicast_other)
+
+    def _build_unicast(self) -> dict:
+        """Rebuild the unicast receive index from the current receivers.
+
+        Only destinations owned by an up, non-promiscuous NIC get a key; any
+        other destination reaches exactly the promiscuous-or-down NICs.
+        """
+        other: list = []
+        by_mac: dict = {}
+        for position, interface in enumerate(self._receivers):
+            if interface.promiscuous or not interface.up:
+                other.append((position, interface))
+            else:
+                by_mac.setdefault(interface.mac._octets, []).append(
+                    (position, interface)
+                )
+        index = {}
+        for octets, matching in by_mac.items():
+            if other:
+                # Two ascending position runs: timsort merges them linearly.
+                matching = sorted(matching + other)
+            index[octets] = tuple(interface for _, interface in matching)
+        self._unicast_other = tuple(interface for _, interface in other)
+        self._unicast = index
+        return index
 
     def _deliver_run(
         self,

@@ -511,6 +511,92 @@ class TestCutDrainLinkDown:
         assert _observables(threaded[0]) == _observables(sequential[0])
 
 
+class TestInlinePumpDemux:
+    """The unicast receive index on the relaxed inline express lane.
+
+    ``seg1`` (shard-local at ``shards=2``) carries an inline-safe host pair
+    bouncing unicast frames, a promiscuous handler-less monitor (host
+    ``seg1h3``) and two bridge ports that are downed after warm-up.  The
+    inline pump then delivers through the index: the addressee by MAC, the
+    monitor as promiscuous, the bridge ports as down.  A fault timeline
+    downs the monitor mid-run and brings it back, so the index is rebuilt
+    while the pump runs; per-NIC counters must equal the single engine's.
+    """
+
+    WARM = 31.0
+    MONITOR = "seg1h3"
+
+    def _drive(self, **engine):
+        run = run_scenario(
+            "ring",
+            params={"n_bridges": 3, "hosts_per_segment": 3},
+            **engine,
+        )
+        timeline = FaultTimeline()
+        timeline.port_down(self.WARM + 0.0015, self.MONITOR)
+        timeline.port_up(self.WARM + 0.0025, self.MONITOR)
+        timeline.install(run.network)
+        run.warm_up()
+        segment = run.segment("seg1")
+        for nic in segment.interfaces:
+            if nic.name.startswith("bridge"):
+                nic.set_up(False)
+        monitor = run.host(self.MONITOR).nic
+        monitor.set_handler(None)
+        monitor.set_promiscuous(True)
+        left = run.host("seg1h1")
+        right = run.host("seg1h2")
+        forward = EthernetFrame(
+            destination=right.mac, source=left.mac, ethertype=0x88B5,
+            payload=b"\x00" * 64,
+        )
+        backward = EthernetFrame(
+            destination=left.mac, source=right.mac, ethertype=0x88B5,
+            payload=b"\x00" * 64,
+        )
+        remaining = [600]
+
+        def bounce(nic, reply):
+            def handler(_nic, _frame):
+                remaining[0] -= 1
+                if remaining[0] > 0:
+                    nic.send(reply)
+
+            return handler
+
+        left.nic.set_handler(bounce(left.nic, forward), inline_safe=True)
+        right.nic.set_handler(bounce(right.nic, backward), inline_safe=True)
+        pumps = [0]
+        if engine.get("sync") == "relaxed":
+            assert segment.express_mode == "inline"
+            original_pump = segment._express_pump
+
+            def spying_pump(s_ns):
+                pumps[0] += 1
+                original_pump(s_ns)
+
+            segment._express_pump = spying_pump
+        left.nic.send(forward)
+        run.sim.run_until(self.WARM + 0.008)
+        counters = {nic.name: nic.statistics() for nic in segment.interfaces}
+        return run, counters, pumps[0], monitor
+
+    def test_indexed_inline_delivery_matches_single_engine(self):
+        _, single, _, single_monitor = self._drive()
+        strict_run, strict, _, _ = self._drive(shards=2)
+        relaxed_run, relaxed, pumps, _ = self._drive(shards=2, sync="relaxed")
+        # The inline pump ran, and the monitor saw frames both while
+        # promiscuous and while down.
+        assert pumps > 0
+        assert single_monitor.frames_received > 0
+        assert single_monitor.frames_dropped > 0
+        assert single_monitor.link_transitions == 2
+        assert strict == single
+        assert relaxed == single
+        assert _canonical(relaxed_run) == _canonical(strict_run)
+        assert _observables(relaxed_run) == _observables(strict_run)
+
+
 # ---------------------------------------------------------------------------
 # Segment-level fault semantics
 # ---------------------------------------------------------------------------

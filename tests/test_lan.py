@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.costs.model import CostModel
 from repro.ethernet.ethertype import EtherType
@@ -205,6 +207,157 @@ class TestNic:
         assert nic.segment is None
         with pytest.raises(InterfaceError):
             nic.detach()
+
+    def test_set_promiscuous_coerces_to_bool(self, sim):
+        nic = _nic(sim, "a", 1)
+        nic.set_promiscuous(1)
+        assert nic.promiscuous is True
+
+
+# ---------------------------------------------------------------------------
+# Receive-side demultiplexing (the segment's unicast index)
+# ---------------------------------------------------------------------------
+
+#: A small MAC pool, so generated segments carry duplicate addresses.
+_DEMUX_MACS = [MacAddress.locally_administered(i) for i in range(1, 5)]
+_DEMUX_DESTINATIONS = {
+    "unknown": MacAddress.locally_administered(99),
+    "broadcast": BROADCAST,
+    "multicast": MacAddress.from_string("01:80:c2:00:00:00"),
+}
+
+_demux_nics = st.lists(
+    st.fixed_dictionaries(
+        {
+            "mac": st.integers(0, len(_DEMUX_MACS) - 1),
+            "promiscuous": st.booleans(),
+            "up": st.booleans(),
+            "handler": st.booleans(),
+        }
+    ),
+    min_size=2,
+    max_size=12,
+)
+#: One step: optionally toggle one NIC's state, then send one frame.
+_demux_steps = st.lists(
+    st.tuples(
+        st.one_of(
+            st.none(),
+            st.tuples(
+                st.sampled_from(["up", "promiscuous", "reattach"]),
+                st.integers(0, 11),
+            ),
+        ),
+        st.integers(0, 11),
+        st.sampled_from(["attached", *_DEMUX_DESTINATIONS]),
+        st.integers(0, 11),
+    ),
+    max_size=30,
+)
+
+
+def _nic_counters(nics):
+    return {
+        nic.name: (nic.frames_received, nic.frames_dropped, nic.bytes_received)
+        for nic in nics
+    }
+
+
+class TestReceiveDemux:
+    @given(specs=_demux_nics, steps=_demux_steps)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_full_walk_reference(self, specs, steps):
+        """Indexed delivery equals walking every receiver through its filter."""
+        sim = Simulator(seed=7)
+        segment = Segment(sim, "lan")
+        log = []
+        nics = []
+        for i, spec in enumerate(specs):
+            nic = NetworkInterface(sim, f"n{i}", _DEMUX_MACS[spec["mac"]])
+            nic.attach(segment)
+            nic.set_promiscuous(spec["promiscuous"])
+            nic.set_up(spec["up"])
+            if spec["handler"]:
+                nic.set_handler(lambda n, f: log.append((n.name, f)))
+            nics.append(nic)
+        for change, sender, kind, target in steps:
+            if change is not None:
+                nic = nics[change[1] % len(nics)]
+                if change[0] == "up":
+                    nic.set_up(not nic.up)
+                elif change[0] == "promiscuous":
+                    nic.set_promiscuous(not nic.promiscuous)
+                elif nic.segment is None:
+                    # Re-attach at the end of the attach order.
+                    nic.attach(segment)
+                else:
+                    nic.detach()
+            nic = nics[sender % len(nics)]
+            if nic.segment is not None:
+                if kind == "attached":
+                    destination = nics[target % len(nics)].mac
+                else:
+                    destination = _DEMUX_DESTINATIONS[kind]
+                frame = EthernetFrame(
+                    destination=destination,
+                    source=nic.mac,
+                    ethertype=int(EtherType.MEASUREMENT),
+                    payload=b"x" * 64,
+                )
+                expected = _nic_counters(nics)
+                expected_log = []
+                if not nic.up:
+                    # A down sender drops the frame before the wire.
+                    received, dropped, size = expected[nic.name]
+                    expected[nic.name] = (received, dropped + 1, size)
+                else:
+                    for receiver in segment.interfaces:
+                        if receiver is nic:
+                            continue
+                        received, dropped, size = expected[receiver.name]
+                        if not receiver.up:
+                            expected[receiver.name] = (received, dropped + 1, size)
+                        elif receiver.accepts(frame):
+                            expected[receiver.name] = (
+                                received + 1,
+                                dropped,
+                                size + frame.frame_length,
+                            )
+                            if receiver._handler is not None:
+                                expected_log.append(receiver.name)
+                del log[:]
+                nic.send(frame)
+                sim.run()
+                assert [name for name, _ in log] == expected_log
+                assert all(got is frame for _, got in log)
+                assert _nic_counters(nics) == expected
+
+    def test_unicast_skips_filtered_stations(self, sim):
+        segment = Segment(sim, "lan")
+        nics = [_nic(sim, f"n{i}", i + 1) for i in range(5)]
+        for nic in nics:
+            nic.attach(segment)
+        nics[3].set_promiscuous(True)
+        nics[4].set_up(False)
+        frame = _frame(
+            src=str(nics[0].mac), dst=str(nics[2].mac)
+        )
+        # The addressee plus the promiscuous and down NICs, in attach order.
+        assert segment._targets(frame) == (nics[2], nics[3], nics[4])
+        broadcast = _frame(src=str(nics[0].mac), dst=str(BROADCAST))
+        assert segment._targets(broadcast) == tuple(nics)
+
+    def test_promiscuity_change_rebuilds_the_index(self, sim):
+        segment = Segment(sim, "lan")
+        nics = [_nic(sim, f"n{i}", i + 1) for i in range(3)]
+        for nic in nics:
+            nic.attach(segment)
+        frame = _frame(src=str(nics[0].mac), dst=str(nics[1].mac))
+        assert segment._targets(frame) == (nics[1],)
+        nics[2].set_promiscuous(True)
+        assert segment._targets(frame) == (nics[1], nics[2])
+        nics[2].set_promiscuous(False)
+        assert segment._targets(frame) == (nics[1],)
 
 
 # ---------------------------------------------------------------------------
