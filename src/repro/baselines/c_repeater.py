@@ -25,6 +25,7 @@ from repro.exceptions import TopologyError
 from repro.lan.nic import NetworkInterface
 from repro.lan.segment import Segment
 from repro.sim.engine import Simulator
+from repro.sim.trace import interface_detail
 
 #: Namespace base for repeater interface MACs (allocated per engine, so runs
 #: in one process stay bit-identical).
@@ -84,7 +85,7 @@ class BufferedRepeater:
                 self.frames_repeated += 1
                 if forward_wanted:
                     trace.emit(
-                        self.name, "repeater.forward", lambda name=name: {"interface": name}
+                        self.name, "repeater.forward", (interface_detail, name)
                     )
                 nic.send(frame)
 

@@ -35,6 +35,7 @@ from repro.lan.nic import NetworkInterface
 from repro.lan.segment import Segment
 from repro.sim.engine import Simulator
 from repro.sim.timers import PeriodicTimer
+from repro.sim.trace import forward_detail
 
 #: Namespace base for automatically assigned node interface MAC addresses.
 #: Node interfaces start at 0xB00000 so they never collide with the host
@@ -175,7 +176,7 @@ class ActiveNode:
                 trace.emit(
                     self.name,
                     "node.forward",
-                    lambda: {"interface": interface, "bytes": frame.frame_length},
+                    (forward_detail, interface, frame),
                 )
             nic.send(frame)
 

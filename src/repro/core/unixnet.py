@@ -37,6 +37,7 @@ from repro.ethernet.frame import EthernetFrame, VlanTag
 from repro.ethernet.mac import MacAddress
 from repro.exceptions import AlreadyBound, FrameError, NoInterface
 from repro.core.safeunix import SockAddr
+from repro.sim.trace import unclaimed_detail
 
 
 #: The 802.1Q tag protocol identifier, recognized in ``pkt`` byte strings.
@@ -346,7 +347,7 @@ class Unixnet:
             trace.emit(
                 self._node_name,
                 "unixnet.unclaimed",
-                lambda: {"interface": interface, "destination": str(frame.destination)},
+                (unclaimed_detail, interface, frame),
             )
         return None
 

@@ -27,6 +27,7 @@ from repro.ethernet.mac import MacAddress
 from repro.exceptions import InterfaceError
 from repro.lan.segment import Segment
 from repro.sim.engine import Simulator
+from repro.sim.trace import frame_detail
 
 FrameHandler = Callable[["NetworkInterface", EthernetFrame], None]
 
@@ -211,7 +212,7 @@ class NetworkInterface:
         self.bytes_sent += frame.frame_length
         trace = self._trace
         if trace.wants("nic.tx"):
-            trace.emit(self.name, "nic.tx", lambda: {"frame": frame.describe()})
+            trace.emit(self.name, "nic.tx", (frame_detail, frame))
         self.segment.transmit(self, frame)
 
     def deliver(self, frame: EthernetFrame) -> None:
@@ -238,7 +239,7 @@ class NetworkInterface:
         self.bytes_received += frame.frame_length
         trace = self._trace
         if trace.wants("nic.rx"):
-            trace.emit(self.name, "nic.rx", lambda: {"frame": frame.describe()})
+            trace.emit(self.name, "nic.rx", (frame_detail, frame))
         if self._handler is not None:
             self._handler(self, frame)
 

@@ -88,6 +88,7 @@ from repro.exceptions import TopologyError
 from repro.sim.clock import NANOSECONDS_PER_SECOND
 from repro.sim.engine import Simulator
 from repro.sim.relaxed import active_shard
+from repro.sim.trace import drop_detail, sender_frame_detail
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checking only
     from repro.lan.nic import NetworkInterface
@@ -447,11 +448,7 @@ class Segment:
             trace.emit(
                 self.name,
                 "segment.drop",
-                lambda: {
-                    "sender": sender.name,
-                    "reason": reason,
-                    "frame": frame.describe(),
-                },
+                (drop_detail, sender, reason, frame),
             )
 
     def _count_drop(self, sender: "NetworkInterface", frame: EthernetFrame,
@@ -529,10 +526,7 @@ class Segment:
                         trace.emit(
                             self.name,
                             "segment.enqueue",
-                            lambda: {
-                                "sender": sender.name,
-                                "frame": frame.describe(),
-                            },
+                            (sender_frame_detail, sender, frame),
                         )
                     caller.outbox.append(
                         ("tx", caller.clock._now_ns, self, sender, frame)
@@ -547,7 +541,7 @@ class Segment:
             trace.emit(
                 self.name,
                 "segment.enqueue",
-                lambda: {"sender": sender.name, "frame": frame.describe()},
+                (sender_frame_detail, sender, frame),
             )
         if not self._in_service:
             self._service_next()
@@ -783,7 +777,7 @@ class Segment:
             trace.emit(
                 self.name,
                 "segment.deliver",
-                lambda: {"sender": sender.name, "frame": frame.describe()},
+                (sender_frame_detail, sender, frame),
             )
 
     def _drain_backlog(self) -> None:
@@ -986,10 +980,7 @@ class Segment:
                         trace.emit(
                             name,
                             "segment.deliver",
-                            lambda s=sender, f=frame: {
-                                "sender": s.name,
-                                "frame": f.describe(),
-                            },
+                            (sender_frame_detail, sender, frame),
                         )
                     for interface in targets(frame):
                         if interface is sender:
@@ -1010,7 +1001,7 @@ class Segment:
             trace.emit(
                 self.name,
                 "segment.deliver",
-                lambda: {"sender": sender.name, "frame": frame.describe()},
+                (sender_frame_detail, sender, frame),
             )
         # The target tuple is a stable snapshot: attach/detach during the
         # loop rebuild it without disturbing this delivery.
@@ -1090,7 +1081,7 @@ class Segment:
                 trace.emit(
                     self.name,
                     "segment.deliver",
-                    lambda: {"sender": sender.name, "frame": frame.describe()},
+                    (sender_frame_detail, sender, frame),
                 )
         for interface in run:
             if interface is sender or interface.segment is not self:

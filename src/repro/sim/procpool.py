@@ -81,6 +81,7 @@ from typing import List, Optional
 from repro.core.unixnet import envelope_bytes_to_frame, frame_to_envelope_bytes
 from repro.exceptions import FabricBackendError
 from repro.sim.clock import NANOSECONDS_PER_SECOND
+from repro.sim.trace import render_detail
 from repro.telemetry.flight import FlightRecorder
 
 #: Set in worker processes to the shard index they own; ``None`` in the
@@ -296,9 +297,9 @@ def _worker_main(fabric, index, pairs) -> None:
                 fast = recorder._fast if recorder._fast is not None else []
                 suffix = []
                 for time_s, source, category, detail, seq in fast[base:]:
-                    if callable(detail):
-                        detail = detail()
-                    suffix.append((time_s, source, category, detail, seq))
+                    suffix.append(
+                        (time_s, source, category, render_detail(detail), seq)
+                    )
                 blob = None
                 if telemetry is not None:
                     from repro.telemetry.report import snapshot_segment

@@ -22,22 +22,88 @@ applies global and per-category gating, and dispatches to composable sinks:
 * :class:`NullSink` — discards everything (benchmarking floor).
 
 Record *details* are rendered lazily: producers on the frame hot path pass a
-zero-argument callable instead of an eager dict, and the expensive rendering
-(``frame.describe()`` strings and the like) only happens if some consumer
-actually reads :attr:`TraceRecord.detail`.  Producers guard even the callable
-allocation with :meth:`TraceRecorder.wants`.
+data tuple ``(render, *args)`` instead of an eager dict, where ``render`` is
+one of this module's renderers (:func:`frame_detail` and its siblings), and
+the expensive rendering (``frame.describe()`` strings and the like) only
+happens if some consumer actually reads :attr:`TraceRecord.detail`.  A tuple
+holds no function object or closure cells of its own, so a long retained
+trace leaves the cyclic garbage collector far fewer objects to walk on every
+full collection than per-record closures would.  Producers guard even the tuple
+allocation with :meth:`TraceRecorder.wants`.  A zero-argument callable is
+still accepted, for producers outside the frame path.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.sim.clock import Clock
 
 #: What producers may pass as a record's detail: nothing, an eager mapping,
-#: or a zero-argument callable returning one (rendered on first access).
-DetailSource = Union[None, Dict[str, Any], Callable[[], Dict[str, Any]]]
+#: a data tuple ``(render, *args)`` whose ``render(*args)`` returns a fresh
+#: mapping, or a zero-argument callable returning one.  Both lazy forms are
+#: rendered by :func:`render_detail` on first access.  Frame-path producers
+#: use the tuple with a renderer from this module: it retains no function
+#: object or cells per record.
+DetailSource = Union[
+    None, Dict[str, Any], Tuple[Any, ...], Callable[[], Dict[str, Any]]
+]
+
+
+def render_detail(payload: DetailSource) -> Dict[str, Any]:
+    """The dict behind any :data:`DetailSource` (renders the lazy forms)."""
+    if payload is None:
+        return {}
+    if type(payload) is tuple:
+        return payload[0](*payload[1:])
+    if callable(payload):
+        return dict(payload())
+    return payload
+
+
+# Renderers for the frame-path data tuples, one per record shape.
+
+
+def frame_detail(frame: Any) -> Dict[str, Any]:
+    """``nic.tx`` / ``nic.rx``: the frame's one-line description."""
+    return {"frame": frame.describe()}
+
+
+def sender_frame_detail(sender: Any, frame: Any) -> Dict[str, Any]:
+    """``segment.enqueue`` / ``segment.deliver``: sending NIC and frame."""
+    return {"sender": sender.name, "frame": frame.describe()}
+
+
+def drop_detail(sender: Any, reason: str, frame: Any) -> Dict[str, Any]:
+    """``segment.drop``: sending NIC, loss reason and frame."""
+    return {"sender": sender.name, "reason": reason, "frame": frame.describe()}
+
+
+def forward_detail(interface: str, frame: Any) -> Dict[str, Any]:
+    """``node.forward``: egress interface and frame length on the wire."""
+    return {"interface": interface, "bytes": frame.frame_length}
+
+
+def unclaimed_detail(interface: str, frame: Any) -> Dict[str, Any]:
+    """``unixnet.unclaimed``: ingress interface and destination MAC."""
+    return {"interface": interface, "destination": str(frame.destination)}
+
+
+def interface_detail(interface: str) -> Dict[str, Any]:
+    """``repeater.forward``: the egress interface."""
+    return {"interface": interface}
 
 
 class TraceRecord:
@@ -50,9 +116,9 @@ class TraceRecord:
         category: machine-readable record category
             (e.g. ``"frame.rx"``, ``"stp.state"``, ``"transition"``).
         detail: free-form key/value payload.  May be produced lazily: when
-            the producer supplied a callable it runs on first access and the
-            result is cached, so untouched hot-path records never pay for
-            rendering.
+            the producer supplied a data tuple or a callable it is rendered
+            on first access and the result is cached, so untouched hot-path
+            records never pay for rendering.
         seq: global emission sequence number, stamped by the sharded fabric's
             per-shard recorders so per-shard streams merge back into the
             exact single-engine emission order; ``None`` on records emitted
@@ -81,18 +147,15 @@ class TraceRecord:
     def detail(self) -> Dict[str, Any]:
         """The record's payload, rendering (and caching) it if it was lazy."""
         payload = self._detail
-        if payload is None:
-            payload = {}
-            self._detail = payload
-        elif callable(payload):
-            payload = dict(payload())
-            self._detail = payload
+        if type(payload) is not dict:
+            payload = self._detail = render_detail(payload)
         return payload
 
     @property
     def detail_is_rendered(self) -> bool:
         """Whether the payload has been rendered yet (diagnostics/tests)."""
-        return not callable(self._detail)
+        payload = self._detail
+        return type(payload) is not tuple and not callable(payload)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TraceRecord):
@@ -120,8 +183,8 @@ def match_records(
 ) -> List[TraceRecord]:
     """Records matching every provided criterion, preserving input order.
 
-    The shared predicate behind :meth:`TraceRecorder.filter` and the sharded
-    fabric's stream queries.
+    The shared predicate behind the queryable sinks' :meth:`ListSink.filter`
+    / :meth:`RingBufferSink.filter` and the sharded fabric's stream queries.
     """
     selected = []
     for entry in records:
@@ -138,7 +201,7 @@ def match_records(
 
 
 def last_match(
-    records: "List[TraceRecord]",
+    records: Sequence[TraceRecord],
     category: Optional[str] = None,
     source: Optional[str] = None,
 ) -> Optional[TraceRecord]:
@@ -336,18 +399,9 @@ class ListSink(TraceSink):
         until: Optional[float] = None,
     ) -> List[TraceRecord]:
         """Return records matching every provided criterion."""
-        selected = []
-        for entry in self._candidates(category, source):
-            if category is not None and entry.category != category:
-                continue
-            if source is not None and entry.source != source:
-                continue
-            if since is not None and entry.time < since:
-                continue
-            if until is not None and entry.time > until:
-                continue
-            selected.append(entry)
-        return selected
+        return match_records(
+            self._candidates(category, source), category, source, since, until
+        )
 
     def count(self, category: Optional[str] = None, source: Optional[str] = None) -> int:
         """Number of retained records matching the criteria."""
@@ -364,13 +418,7 @@ class ListSink(TraceSink):
         self, category: Optional[str] = None, source: Optional[str] = None
     ) -> Optional[TraceRecord]:
         """The most recent record matching the criteria, if any."""
-        for entry in reversed(self._candidates(category, source)):
-            if category is not None and entry.category != category:
-                continue
-            if source is not None and entry.source != source:
-                continue
-            return entry
-        return None
+        return last_match(self._candidates(category, source), category, source)
 
     def clear(self) -> None:
         self._records.clear()
@@ -417,18 +465,7 @@ class RingBufferSink(TraceSink):
         until: Optional[float] = None,
     ) -> List[TraceRecord]:
         """Records in the retained window matching every provided criterion."""
-        selected = []
-        for entry in self._records:
-            if category is not None and entry.category != category:
-                continue
-            if source is not None and entry.source != source:
-                continue
-            if since is not None and entry.time < since:
-                continue
-            if until is not None and entry.time > until:
-                continue
-            selected.append(entry)
-        return selected
+        return match_records(self._records, category, source, since, until)
 
     def count(self, category: Optional[str] = None, source: Optional[str] = None) -> int:
         """Number of retained records matching the criteria."""
@@ -440,13 +477,7 @@ class RingBufferSink(TraceSink):
         self, category: Optional[str] = None, source: Optional[str] = None
     ) -> Optional[TraceRecord]:
         """The most recent retained record matching the criteria, if any."""
-        for entry in reversed(self._records):
-            if category is not None and entry.category != category:
-                continue
-            if source is not None and entry.source != source:
-                continue
-            return entry
-        return None
+        return last_match(self._records, category, source)
 
     def clear(self) -> None:
         self._records.clear()
@@ -549,7 +580,7 @@ class TraceRecorder:
         """Whether a record in ``category`` would currently be captured.
 
         Hot-path producers call this before allocating even the lazy detail
-        closure, so a gated category costs one set lookup per record.
+        tuple, so a gated category costs one set lookup per record.
         """
         return self._enabled and category not in self._disabled_categories
 
@@ -571,8 +602,9 @@ class TraceRecorder:
     ) -> Optional[TraceRecord]:
         """Dispatch a record stamped with the current simulated time.
 
-        ``detail`` may be an eager dict or a zero-argument callable rendered
-        only when some consumer reads :attr:`TraceRecord.detail`.
+        ``detail`` may be an eager dict, or a ``(render, *args)`` data tuple
+        or zero-argument callable rendered only when some consumer reads
+        :attr:`TraceRecord.detail`.
         """
         if not self._enabled or category in self._disabled_categories:
             return None

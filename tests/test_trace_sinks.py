@@ -10,16 +10,19 @@ swapped.
 from __future__ import annotations
 
 import itertools
+import os
+import types
 
 import pytest
 
 from repro.ethernet.ethertype import EtherType
 from repro.ethernet.frame import EthernetFrame
-from repro.ethernet.mac import MacAddress
+from repro.ethernet.mac import BROADCAST, MacAddress
 from repro.lan.nic import NetworkInterface
 from repro.lan.segment import Segment
 from repro.measurement.ping import PingRunner
-from repro.measurement.setups import build_bridged_pair
+from repro.measurement.setups import build_bridged_pair, build_repeater_pair
+from repro.scenario import run_scenario
 from repro.sim.engine import Simulator
 from repro.sim.events import EventQueue
 from repro.sim.trace import (
@@ -29,6 +32,12 @@ from repro.sim.trace import (
     NullSink,
     RingBufferSink,
     TraceRecorder,
+    drop_detail,
+    forward_detail,
+    frame_detail,
+    interface_detail,
+    sender_frame_detail,
+    unclaimed_detail,
 )
 
 
@@ -142,6 +151,186 @@ class TestLazyDetail:
         assert not tx.detail_is_rendered
         assert "->" in tx.detail["frame"]  # renders on demand
         assert tx.detail_is_rendered
+
+
+    def test_tuple_detail_renders_on_first_access_only(self, sim):
+        calls = []
+
+        def render(left, right):
+            calls.append((left, right))
+            return {"sum": left + right}
+
+        record = sim.trace.emit("a", "lazy", (render, 2, 5))
+        assert not record.detail_is_rendered
+        assert calls == []
+        assert record.detail == {"sum": 7}
+        assert record.detail == {"sum": 7}
+        assert calls == [(2, 5)]  # cached after first render
+        assert record.detail_is_rendered
+
+
+# ---------------------------------------------------------------------------
+# Frame-path details: data tuples, not closures
+# ---------------------------------------------------------------------------
+
+#: Per converted category: the renderer its producer names, and the dict the
+#: producer's closure built before details became data tuples.
+PRE_CHANGE_DETAILS = {
+    "nic.tx": (frame_detail, lambda frame: {"frame": frame.describe()}),
+    "nic.rx": (frame_detail, lambda frame: {"frame": frame.describe()}),
+    "segment.enqueue": (
+        sender_frame_detail,
+        lambda sender, frame: {"sender": sender.name, "frame": frame.describe()},
+    ),
+    "segment.deliver": (
+        sender_frame_detail,
+        lambda sender, frame: {"sender": sender.name, "frame": frame.describe()},
+    ),
+    "segment.drop": (
+        drop_detail,
+        lambda sender, reason, frame: {
+            "sender": sender.name,
+            "reason": reason,
+            "frame": frame.describe(),
+        },
+    ),
+    "node.forward": (
+        forward_detail,
+        lambda interface, frame: {"interface": interface, "bytes": frame.frame_length},
+    ),
+    "unixnet.unclaimed": (
+        unclaimed_detail,
+        lambda interface, frame: {
+            "interface": interface,
+            "destination": str(frame.destination),
+        },
+    ),
+    "repeater.forward": (interface_detail, lambda interface: {"interface": interface}),
+}
+
+
+def _segment_scene(_env):
+    """Two NICs on one segment: one frame delivered, one dropped link-down."""
+    sim = Simulator(seed=42)
+    segment = Segment(sim, "lan")
+    a = NetworkInterface(sim, "a", MacAddress.locally_administered(1))
+    b = NetworkInterface(sim, "b", MacAddress.locally_administered(2))
+    a.attach(segment)
+    b.attach(segment)
+    frame = EthernetFrame(
+        destination=b.mac, source=a.mac, ethertype=int(EtherType.IPV4), payload=b"x"
+    )
+    a.send(frame)
+    sim.run()
+    segment.set_link(False)
+    a.send(frame)
+    sim.run()
+    return sim.trace
+
+
+def _ping_scene(build):
+    def scene(_env):
+        setup = build(seed=11)
+        runner = PingRunner(
+            setup.network.sim, setup.left, setup.right.ip,
+            payload_size=64, count=2, interval=0.05,
+        )
+        runner.run(start_time=setup.ready_time)
+        return setup.network.sim.trace
+
+    return scene
+
+
+def _unprogrammed_bridge_scene(env):
+    """A broadcast reaches a bridge with no switchlet: nothing claims it."""
+    frame = EthernetFrame(
+        destination=BROADCAST, source=env["host1"].mac, ethertype=0x88B6, payload=b"x"
+    )
+    env["host1"].send_raw_frame(frame)
+    env["sim"].run_until(1.0)
+    return env["sim"].trace
+
+
+FRAME_PATH_SCENES = {
+    "nic.tx": _segment_scene,
+    "nic.rx": _segment_scene,
+    "segment.enqueue": _segment_scene,
+    "segment.deliver": _segment_scene,
+    "segment.drop": _segment_scene,
+    "node.forward": _ping_scene(build_bridged_pair),
+    "unixnet.unclaimed": _unprogrammed_bridge_scene,
+    "repeater.forward": _ping_scene(build_repeater_pair),
+}
+
+
+class TestFramePathDetails:
+    @pytest.mark.parametrize("category", sorted(PRE_CHANGE_DETAILS))
+    def test_rendered_detail_equals_the_pre_change_dict(self, category, two_lan_bridge):
+        trace = FRAME_PATH_SCENES[category](two_lan_bridge)
+        records = trace.filter(category=category)
+        assert records
+        renderer, pre_change = PRE_CHANGE_DETAILS[category]
+        for record in records:
+            raw = record._detail
+            assert type(raw) is tuple and raw[0] is renderer
+            assert not record.detail_is_rendered
+            expected = pre_change(*raw[1:])
+            assert record.detail == expected
+            assert list(record.detail) == list(expected)  # same key order
+            assert record.detail_is_rendered
+
+    def test_segment_scene_details_by_value(self):
+        trace = _segment_scene(None)
+        frame = trace.last(category="nic.tx")._detail[1]
+        described = frame.describe()
+        assert "->" in described
+        assert trace.last(category="nic.rx").detail == {"frame": described}
+        for category in ("segment.enqueue", "segment.deliver"):
+            assert trace.last(category=category).detail == {
+                "sender": "a",
+                "frame": described,
+            }
+        assert trace.last(category="segment.drop").detail == {
+            "sender": "a",
+            "reason": "link-down",
+            "frame": described,
+        }
+
+    @pytest.mark.parametrize(
+        "engine",
+        [
+            {},
+            {"shards": 2, "sync": "relaxed"},
+            pytest.param(
+                {"shards": 2, "sync": "relaxed", "backend": "process"},
+                marks=pytest.mark.skipif(
+                    not hasattr(os, "fork"), reason="process backend requires fork()"
+                ),
+            ),
+        ],
+        ids=["single", "relaxed-2", "process-2"],
+    )
+    def test_no_retained_record_holds_a_closure(self, engine):
+        run = run_scenario(
+            "ring", params={"n_bridges": 2, "hosts_per_segment": 1}, **engine
+        )
+        run.warm_up()
+        hosts = run.hosts
+        runner = PingRunner(
+            run.sim, hosts[0], hosts[-1].ip, payload_size=96, count=2, interval=0.05
+        )
+        start = run.sim.now
+        runner.start(start)
+        run.sim.run_until(start + 2.0)
+        records = list(run.sim.trace)
+        categories = {record.category for record in records}
+        assert {"nic.tx", "nic.rx", "segment.deliver", "node.forward"} <= categories
+        closures = [
+            record.category
+            for record in records
+            if isinstance(record._detail, types.FunctionType)
+        ]
+        assert closures == []
 
 
 # ---------------------------------------------------------------------------
